@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, UnsupportedCodecError
+from .util import atomic_write_bytes
 
 __all__ = [
     "AudioClip",
@@ -182,10 +183,7 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     )
     if len(payload) & 1:
         body += b"\x00"
-    blob = b"RIFF" + struct.pack("<I", len(body)) + body
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    atomic_write_bytes(Path(path), b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 def segment(clip: AudioClip, seg_seconds: float) -> list[AudioClip]:

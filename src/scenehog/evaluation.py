@@ -294,6 +294,13 @@ def write_report(path: str | Path, report: EvalReport) -> None:
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
+def _parse_cell(path: Path, kind: type, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"{path}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def read_report(path: str | Path) -> EvalReport:
     path = Path(path)
     header: dict[str, str] = {}
@@ -319,11 +326,13 @@ def read_report(path: str | Path) -> EvalReport:
             if line.startswith("split,"):
                 continue
             cells = line.split(",")
-            per_split.append([float(cells[1]), float(cells[2]), float(cells[3])])
+            if len(cells) != 4:
+                raise FormatError(f"{path}: per_split row {line!r} needs 4 cells")
+            per_split.append([_parse_cell(path, float, v) for v in cells[1:]])
         else:
             if line.startswith("true\\pred"):
                 continue
-            confusion.append([int(v) for v in line.split(",")[1:]])
+            confusion.append([_parse_cell(path, int, v) for v in line.split(",")[1:]])
     if header.get("format") != _REPORT_FORMAT:
         raise FormatError(f"{path}: not a report file")
     if header.get("version") != str(_REPORT_VERSION):
@@ -332,16 +341,21 @@ def read_report(path: str | Path) -> EvalReport:
     missing = [k for k in required if k not in header]
     if missing:
         raise FormatError(f"{path}: missing header keys {missing}")
+    classes = header["classes"].split(",")
+    if any(len(row) != len(classes) for row in confusion) or len(confusion) != len(classes):
+        raise FormatError(f"{path}: confusion matrix is not {len(classes)}x{len(classes)}")
     table = np.asarray(per_split, dtype=np.float64).reshape(len(per_split), 3)
+    if not np.all(np.isfinite(table[:, :2])):
+        raise FormatError(f"{path}: non-finite per_split map or c")
     params = {
         k[len("param."):]: v for k, v in header.items() if k.startswith("param.")
     }
     report = EvalReport(
-        classes=header["classes"].split(","),
-        seed=int(header["seed"]),
-        n_splits=int(header["n_splits"]),
-        n_train=int(header["n_train"]),
-        n_test=int(header["n_test"]),
+        classes=classes,
+        seed=_parse_cell(path, int, header["seed"]),
+        n_splits=_parse_cell(path, int, header["n_splits"]),
+        n_train=_parse_cell(path, int, header["n_train"]),
+        n_test=_parse_cell(path, int, header["n_test"]),
         kernel_kind=header["kernel"],
         per_split_map=table[:, 0],
         confusion_sum=np.asarray(confusion, dtype=np.int64),

@@ -62,7 +62,10 @@ def write_features(
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
-    """Read a feature file; returns (matrix as float64, labels, config hash)."""
+    """Read a feature file; returns (matrix as float64, labels, config hash).
+
+    A file holding a NaN or infinite value is refused with FormatError.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < _HEADER_BYTES or data[:4] != _FEATURE_MAGIC:
@@ -80,6 +83,8 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
             f"for {n_rows}x{n_dims} float32"
         )
     x = np.frombuffer(payload, dtype="<f4").reshape(n_rows, n_dims)
+    if not np.all(np.isfinite(x)):
+        raise FormatError(f"{path}: non-finite feature values")
     side = labels_path(path)
     if not side.exists():
         raise FormatError(f"{path}: missing label sidecar {side}")

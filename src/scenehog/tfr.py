@@ -8,10 +8,19 @@ later stages never see the sample rate, hop or clip length:
 
 Row 0 of the image is the lowest frequency bin, column 0 the earliest
 frame.
+
+The transform works one octave block of bins at a time: one frame
+matrix per block, as wide as the block's longest window, times one
+real kernel matrix holding the windowed cosines and sines of all its
+bins (the time-domain form of the constant-Q kernels of Brown and
+Puckette, 1992).  Kernels depend only on the frequency range, bins per
+octave and sample rate, not on the hop or clip length, and are kept in
+a small read-only cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,6 +91,15 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
     product of the signal with a Hann windowed complex exponential at
     the bin frequency, normalised by the window length N_k; windows
     reaching past either end of the clip read zeros.
+
+    Bins are processed in octave blocks [0, b), [b, 2b), ... of
+    b = bins_per_octave bins (the last block may be partial).  Each
+    block cuts one frame matrix as wide as its longest window and
+    multiplies it by one real kernel matrix, giving the real and
+    imaginary parts of all its bins in a single GEMM.  The kernels
+    depend only on the frequency range, bins per octave and sample
+    rate, so they are built once per geometry and cached (the 8 most
+    recently used geometries are kept).
     """
     fs = clip.sample_rate_hz
     nyquist = fs / 2.0
@@ -107,16 +125,48 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
     centers = np.arange(n_frames) * hop
 
     out = np.empty((n_bins, n_frames), dtype=np.complex128)
-    for k in range(n_bins):
-        f_k = cfg.bin_frequency(k)
-        n_k = cfg.window_length(k, fs)
-        idx = np.arange(n_k)
-        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / n_k)
-        kernel = window * np.exp(-2j * np.pi * f_k / fs * idx) / n_k
-        starts = centers - n_k // 2 + pad
-        frames = sliding_window_view(x, n_k)[starts]
-        out[k] = frames @ kernel
+    kernels = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, fs)
+    for first, kernel in kernels:
+        n_blk, nb = kernel.shape[0], kernel.shape[1] // 2
+        frames = sliding_window_view(x, n_blk)[centers - n_blk // 2 + pad]
+        coeffs = frames @ kernel
+        out[first:first + nb].real = coeffs[:, :nb].T
+        out[first:first + nb].imag = coeffs[:, nb:].T
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _octave_kernels(
+    f_min_hz: float, f_max_hz: float, bins_per_octave: int, sample_rate_hz: int
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """Real analysis kernels of the octave blocks, as (first bin, kernel).
+
+    A block of nb bins starting at bin `first` has a kernel of shape
+    (N_first, 2 nb): column j holds w cos / N_k and column nb + j holds
+    -w sin / N_k for bin first + j, placed at row offset
+    N_first // 2 - N_k // 2 so that every bin reads the samples centred
+    on the frame centre, as a separate window of N_k samples would.
+    The arrays are shared by every caller and therefore read-only.
+    """
+    geometry = CqtConfig(f_min_hz, f_max_hz, bins_per_octave)
+    n_bins = geometry.n_bins
+    blocks = []
+    for first in range(0, n_bins, bins_per_octave):
+        bins = range(first, min(first + bins_per_octave, n_bins))
+        nb = len(bins)
+        n_blk = geometry.window_length(first, sample_rate_hz)
+        kernel = np.zeros((n_blk, 2 * nb))
+        for j, k in enumerate(bins):
+            n_k = geometry.window_length(k, sample_rate_hz)
+            idx = np.arange(n_k)
+            window = 0.5 - 0.5 * np.cos(2.0 * np.pi * idx / n_k)
+            phase = 2.0 * np.pi * geometry.bin_frequency(k) / sample_rate_hz * idx
+            rows = slice(n_blk // 2 - n_k // 2, n_blk // 2 - n_k // 2 + n_k)
+            kernel[rows, j] = window * np.cos(phase) / n_k
+            kernel[rows, nb + j] = -window * np.sin(phase) / n_k
+        kernel.setflags(write=False)
+        blocks.append((first, kernel))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

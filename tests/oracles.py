@@ -45,6 +45,31 @@ def cqt_profile_oracle(x, fs, f_min, bins_per_octave, hop, n_bins):
     return np.asarray(profiles)
 
 
+def cqt_oracle(x, fs, f_min, bins_per_octave, hop, n_bins):
+    """Complex constant-Q coefficients, one inner product per bin and frame.
+
+    Same definition as cqt_profile_oracle, returned as the full
+    (n_bins, n_frames) matrix so that phases are checked too.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    q = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
+    n_frames = len(x) // hop + 1
+    out = np.zeros((n_bins, n_frames), dtype=complex)
+    for k in range(n_bins):
+        f_k = f_min * 2.0 ** (k / bins_per_octave)
+        n_k = math.ceil(q * fs / f_k)
+        n = np.arange(n_k)
+        window = 0.5 - 0.5 * np.cos(2.0 * math.pi * n / n_k)
+        kernel = window * np.exp(-2j * math.pi * f_k / fs * n)
+        for t in range(n_frames):
+            start = t * hop - n_k // 2
+            lo = max(0, start)
+            hi = min(len(x), start + n_k)
+            if hi > lo:
+                out[k, t] = np.dot(x[lo:hi], kernel[lo - start:hi - start]) / n_k
+    return out
+
+
 def cqt_bin_count(f_min, f_max, bins_per_octave):
     return int(math.floor(bins_per_octave * math.log2(f_max / f_min))) + 1
 

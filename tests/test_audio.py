@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -154,6 +155,20 @@ class TestWriteWav:
         write_wav(tmp_path / "a.wav", AudioClip(x, 8000))
         write_wav(tmp_path / "b.wav", AudioClip(x, 8000))
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "clip.wav"
+        write_wav(path, AudioClip(np.linspace(-1, 1, 64), 8000))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_wav(path, AudioClip(np.zeros(128), 16000))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["clip.wav"]
 
 
 class TestAudioClip:

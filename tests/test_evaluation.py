@@ -8,6 +8,7 @@ from scenehog import (
     stratified_split,
     write_report,
 )
+from scenehog.cli import main
 from scenehog.errors import ConfigError, FormatError, ProtocolError
 
 
@@ -193,3 +194,26 @@ class TestReportFiles:
         path.write_text(text)
         with pytest.raises(FormatError):
             read_report(path)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("\n0,1,", "\n0,1\n"),  # per_split rows with 2 cells
+            ("\n0,1,", "\n0,high,"),  # non-numeric per_split cell
+            ("\n0,1,", "\n0,nan,"),  # non-finite per_split map
+            ("\nhi,3,", "\nhi,3.5,"),  # non-integer confusion cell
+        ],
+        ids=["short-row", "non-numeric-map", "nan-map", "non-integer-count"],
+    )
+    def test_malformed_rows_exit_as_data_errors(self, tmp_path, capsys, old, new):
+        report = self.make_report()
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        write_report(good, report)
+        text = good.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError):
+            read_report(bad)
+        rc = main(["compare", "--report-a", str(good), "--report-b", str(bad)])
+        assert rc == 3
+        assert "Traceback" not in capsys.readouterr().err

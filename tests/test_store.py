@@ -10,6 +10,7 @@ from scenehog import (
     write_features,
     write_pgm,
 )
+from scenehog.cli import main
 from scenehog.errors import DatasetError, FormatError
 
 
@@ -81,6 +82,18 @@ class TestFeatureFiles:
         (tmp_path / "feat.bin.labels").write_text("a\n")
         with pytest.raises(FormatError):
             read_features(path)
+
+    def test_non_finite_values_rejected(self, tmp_path, capsys):
+        path = tmp_path / "feat.bin"
+        x = np.ones((4, 3))
+        x[2, 1] = np.nan
+        write_features(path, x, ["a", "b", "a", "b"])
+        with pytest.raises(FormatError):
+            read_features(path)
+        rc = main(["experiment", "--features", str(path), "--report", str(tmp_path / "r.txt")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_row_label_mismatch_on_write(self, tmp_path):
         with pytest.raises(FormatError):

@@ -5,12 +5,26 @@ import pytest
 
 from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_image
 from scenehog.errors import ConfigError
+from scenehog.tfr import _octave_kernels
 
-from oracles import cqt_profile_oracle
+from oracles import cqt_oracle, cqt_profile_oracle
 
 # small geometry that keeps the per-frame oracle affordable
 FS = 4000
 ORACLE_CFG = dict(f_min_hz=40.0, f_max_hz=1900.0, bins_per_octave=8, hop_samples=16)
+
+# (sample rate, clip samples, CqtConfig fields); every case but the
+# 1 bin per octave one ends in a partial octave block
+ORACLE_CASES = [
+    (FS, 2000, ORACLE_CFG),
+    (FS, 2000, dict(f_min_hz=40.0, f_max_hz=1900.0, bins_per_octave=1, hop_samples=16)),
+    (FS, 2000, dict(f_min_hz=40.0, f_max_hz=1900.0, bins_per_octave=3, hop_samples=16)),
+    (FS, 2000, dict(f_min_hz=40.0, f_max_hz=1900.0, bins_per_octave=12, hop_samples=16)),
+    (FS, 2000, dict(f_min_hz=80.0, f_max_hz=1900.0, bins_per_octave=24, hop_samples=16)),
+    (8000, 4000, dict(f_min_hz=40.0, f_max_hz=3900.0, bins_per_octave=8, hop_samples=40)),
+    (22050, 11025, dict(f_min_hz=100.0, f_max_hz=10000.0, bins_per_octave=12, hop_samples=128)),
+    (44100, 22050, dict(f_min_hz=200.0, f_max_hz=20000.0, bins_per_octave=24, hop_samples=256)),
+]
 
 
 def tone_clip(freq, n=2000, fs=FS):
@@ -63,19 +77,39 @@ class TestCqtGeometry:
 class TestCqtAgainstOracle:
     def test_pure_tone_profiles_match_oracle(self):
         """Mean column magnitudes agree with the per-frame reference."""
-        cfg = CqtConfig(**ORACLE_CFG)
         rng = np.random.default_rng(42)
-        for _ in range(3):
-            k_true = int(rng.integers(4, cfg.n_bins - 4))
-            freq = cfg.bin_frequency(k_true)
-            clip = tone_clip(freq)
-            profile = np.abs(cqt(clip, cfg)).mean(axis=1)
-            reference = cqt_profile_oracle(
-                clip.samples, FS, cfg.f_min_hz, cfg.bins_per_octave,
-                cfg.hop_samples, cfg.n_bins,
-            )
-            np.testing.assert_allclose(profile, reference, rtol=1e-9, atol=1e-12)
-            assert abs(int(np.argmax(profile)) - k_true) <= 1
+        for fs, n, geometry in ORACLE_CASES:
+            cfg = CqtConfig(**geometry)
+            margin = min(4, cfg.n_bins // 4)
+            for _ in range(3):
+                k_true = int(rng.integers(margin, cfg.n_bins - margin))
+                freq = cfg.bin_frequency(k_true)
+                clip = tone_clip(freq, n=n, fs=fs)
+                profile = np.abs(cqt(clip, cfg)).mean(axis=1)
+                reference = cqt_profile_oracle(
+                    clip.samples, fs, cfg.f_min_hz, cfg.bins_per_octave,
+                    cfg.hop_samples, cfg.n_bins,
+                )
+                case = f"{fs} Hz, {geometry}, tone at bin {k_true}"
+                np.testing.assert_allclose(
+                    profile, reference, rtol=1e-9, atol=1e-12, err_msg=case
+                )
+                assert abs(int(np.argmax(profile)) - k_true) <= 1, case
+
+    @pytest.mark.parametrize(
+        "fs,n,geometry", ORACLE_CASES,
+        ids=[f"{fs}Hz-b{g['bins_per_octave']}" for fs, _, g in ORACLE_CASES],
+    )
+    def test_complex_coefficients_match_oracle(self, fs, n, geometry):
+        """Every coefficient, phase included, agrees with the per-frame
+        reference to float64 rounding of a length N_k inner product."""
+        cfg = CqtConfig(**geometry)
+        x = np.random.default_rng(7).standard_normal(n)
+        got = cqt(AudioClip(x, fs), cfg)
+        want = cqt_oracle(
+            x, fs, cfg.f_min_hz, cfg.bins_per_octave, cfg.hop_samples, cfg.n_bins
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_energy_locality(self):
         """At least 60% of the profile mass sits within +-2 bins of the peak."""
@@ -98,6 +132,29 @@ class TestCqtAgainstOracle:
         np.testing.assert_allclose(
             cqt(doubled, cfg), 2.0 * cqt(clip, cfg), rtol=1e-12, atol=1e-300
         )
+
+
+class TestCqtKernelCache:
+    def test_cached_kernels_are_read_only(self):
+        cfg = CqtConfig(**ORACLE_CFG)
+        cqt(tone_clip(440.0), cfg)
+        blocks = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, FS)
+        assert [first for first, _ in blocks] == list(range(0, cfg.n_bins, 8))
+        for _, kernel in blocks:
+            assert not kernel.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0, 0] = 1.0
+
+    def test_sample_rates_do_not_share_an_entry(self):
+        cfg = CqtConfig(**ORACLE_CFG)
+        key = (cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave)
+        low, high = tone_clip(440.0, fs=FS), tone_clip(440.0, n=4000, fs=2 * FS)
+        first = cqt(low, cfg)
+        cqt(high, cfg)
+        np.testing.assert_array_equal(cqt(low, cfg), first)
+        a, b = _octave_kernels(*key, FS), _octave_kernels(*key, 2 * FS)
+        assert a is not b
+        assert b[0][1].shape[0] == cfg.window_length(0, 2 * FS) > a[0][1].shape[0]
 
 
 class TestResize:
