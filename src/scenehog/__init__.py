@@ -17,7 +17,6 @@ from .errors import (
     DataError,
     DatasetError,
     FormatError,
-    InternalError,
     ProtocolError,
     ScenehogError,
     TrainingError,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .audio import read_wav, write_wav
-from .errors import ConfigError, DataError, DatasetError, InternalError, ScenehogError
+from .errors import ConfigError, DataError, DatasetError, ScenehogError
 from .evaluation import read_report, stratified_split, write_report
 from .metrics import column_normalize, wilcoxon_signed_rank
 from .pipeline import extract_clips, generate_toy, parse_config_file, run_experiment
@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"scenehog: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InternalError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"scenehog: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ScenehogError as exc:

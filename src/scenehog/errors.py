@@ -1,8 +1,7 @@
 """Exception taxonomy shared by the library and the command line tools.
 
-Configuration problems, broken or unsupported input data and internal
-invariant violations are kept apart so batch tools can map them to
-distinct exit codes.
+Configuration problems and broken or unsupported input data are kept
+apart so batch tools can map them to distinct exit codes.
 """
 
 
@@ -36,7 +35,3 @@ class ProtocolError(DataError):
 
 class TrainingError(DataError):
     """A training set is degenerate (for example only one class present)."""
-
-
-class InternalError(ScenehogError):
-    """An internal invariant failed; indicates a bug, not a user error."""

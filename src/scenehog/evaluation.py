@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svm
-from .errors import ConfigError, FormatError, ProtocolError
+from .errors import ConfigError, DataError, FormatError, ProtocolError
 from .metrics import column_normalize, confusion_counts, map_score
 from .util import atomic_write_text, rng_from
 
@@ -201,6 +201,8 @@ def run_protocol(
     labels = np.asarray([str(v) for v in labels])
     if x.shape[0] != labels.size:
         raise ConfigError(f"{x.shape[0]} feature rows but {labels.size} labels")
+    if not np.all(np.isfinite(x)):
+        raise DataError("features contain NaN or infinite values")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
     classes = sorted(set(labels))

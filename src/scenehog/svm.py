@@ -2,8 +2,12 @@
 
 Everything here is deterministic: training visits working pairs chosen
 by the maximal violating pair rule with ties resolved by lowest index,
-so the same inputs always give the same model.  Multiclass problems are
-handled one against one with majority voting.
+so the same inputs always give the same model.  The solver keeps the
+violation vector up to date from the two kernel rows of each step
+instead of recomputing it.  Multiclass problems are handled one against
+one with majority voting.  Model selection computes each pair's
+training Gram and its kernel block against the validation half once
+per (half, sigma) and reuses both across the whole C grid.
 
 The dual problem solved for each binary machine is
 
@@ -34,7 +38,6 @@ __all__ = [
     "fit_standardizer",
     "train_binary",
     "train_one_vs_one",
-    "decision_values",
     "predict",
     "model_select",
     "save_model",
@@ -128,6 +131,8 @@ class BinarySvm:
     support_vectors  (n_sv, dim) rows with nonzero dual weight
     alpha_signed     alpha_i * y_i for each support vector
     bias             intercept; decision f(x) = sum alpha_signed K(sv, x) + bias
+    support          row indices of the support vectors in the training set;
+                     None when unknown, as for a machine read from a model file
     """
 
     support_vectors: np.ndarray
@@ -135,6 +140,7 @@ class BinarySvm:
     bias: float
     kernel: KernelSpec
     c: float
+    support: np.ndarray | None = None
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -149,30 +155,34 @@ def _smo(
 ) -> tuple[np.ndarray, float, int]:
     """Core solver on a precomputed kernel matrix.
 
-    Maintains the dual gradient g = Q alpha - 1 (Q = yy' * K) and at
-    each step updates the pair (i, j) maximising the KKT violation
-    m - M, where m = max(-y g) over indices free to increase and
-    M = min(-y g) over indices free to decrease.  Stops when
-    m - M <= tol.  Returns (alpha, bias, iterations).
+    Works on the violation vector f = -y g, where g = Q alpha - 1 is the
+    dual gradient (Q = yy' * K).  Each step updates the pair (i, j)
+    maximising the KKT violation m - M, where m = max f over indices
+    free to increase and M = min f over indices free to decrease (lowest
+    index on ties), and stops when m - M <= tol.  Because y is +-1, the
+    gradient update of a step is exactly f -= (y_i d_i) K[i] + (y_j d_j) K[j],
+    so f is maintained rather than recomputed, and only the mask entries
+    of i and j are rewritten.  The pair update runs on Python floats.
+    Returns (alpha, bias, iterations).
     """
     n = y.size
     atol = 1e-12 * max(c, 1.0)
+    top = c - atol
     alpha = np.zeros(n)
-    grad = -np.ones(n)
+    f = np.array(y, dtype=np.float64)
     pos = y > 0
+    up = (pos & (alpha < top)) | (~pos & (alpha > atol))
+    low = (~pos & (alpha < top)) | (pos & (alpha > atol))
 
     it = 0
     while True:
-        y_grad = y * grad
-        up = (pos & (alpha < c - atol)) | (~pos & (alpha > atol))
-        low = (~pos & (alpha < c - atol)) | (pos & (alpha > atol))
-        if not up.any() or not low.any():
+        i = int(np.where(up, f, -np.inf).argmax())
+        j = int(np.where(low, f, np.inf).argmin())
+        # a masked arg-extreme falls outside its mask only when the mask is empty
+        if not (up[i] and low[j]):
             break
-        viol = -y_grad
-        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
-        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
-        m, mm = viol[i], viol[j]
-        if m - mm <= tol:
+        f_i, f_j = float(f[i]), float(f[j])
+        if f_i - f_j <= tol:
             break
         if it >= max_iter:
             raise TrainingError(
@@ -180,43 +190,46 @@ def _smo(
             )
         it += 1
 
-        sign = y[i] * y[j]
+        y_i, y_j = float(y[i]), float(y[j])
+        a_i, a_j = float(alpha[i]), float(alpha[j])
+        sign = y_i * y_j
         if sign < 0:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(c, c + alpha[j] - alpha[i])
+            lo = max(0.0, a_j - a_i)
+            hi = min(c, c + a_j - a_i)
         else:
-            lo = max(0.0, alpha[i] + alpha[j] - c)
-            hi = min(c, alpha[i] + alpha[j])
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        eta = max(eta, 1e-12)
-        # y*grad is the bias-free prediction error, so this is the classic
+            lo = max(0.0, a_i + a_j - c)
+            hi = min(c, a_i + a_j)
+        eta = max(float(k[i, i]) + float(k[j, j]) - 2.0 * float(k[i, j]), 1e-12)
+        # -f is the bias-free prediction error, so this is the classic
         # Platt step for the second variable.
-        a_j = alpha[j] + y[j] * (y_grad[i] - y_grad[j]) / eta
-        a_j = min(max(a_j, lo), hi)
-        if a_j < atol:
-            a_j = 0.0
-        elif a_j > c - atol:
-            a_j = c
-        delta_j = a_j - alpha[j]
+        new_j = a_j + y_j * (f_j - f_i) / eta
+        new_j = min(max(new_j, lo), hi)
+        if new_j < atol:
+            new_j = 0.0
+        elif new_j > top:
+            new_j = c
+        delta_j = new_j - a_j
         if delta_j == 0.0:
             # pair is pinned at the box; no progress possible on it
             break
         delta_i = -sign * delta_j
         alpha[i] += delta_i
         alpha[j] += delta_j
-        grad += y * (y[i] * delta_i * k[i] + y[j] * delta_j * k[j])
+        f -= y_i * delta_i * k[i] + y_j * delta_j * k[j]
+        for t in (i, j):
+            a_t = alpha[t]
+            up[t] = a_t < top if pos[t] else a_t > atol
+            low[t] = a_t > atol if pos[t] else a_t < top
 
-    # Bias from the free support vectors; midpoint of the violation
-    # bracket when every multiplier sits at a box bound.
-    y_grad = y * grad
-    free = (alpha > atol) & (alpha < c - atol)
+    # Bias from the free support vectors (free to move both ways);
+    # midpoint of the violation bracket when every multiplier sits at a
+    # box bound.
+    free = up & low
     if free.any():
-        bias = float(np.mean(-y_grad[free]))
+        bias = float(np.mean(f[free]))
     else:
-        up = (pos & (alpha < c - atol)) | (~pos & (alpha > atol))
-        low = (~pos & (alpha < c - atol)) | (pos & (alpha > atol))
-        hi = (-y_grad[up]).max() if up.any() else 0.0
-        lo = (-y_grad[low]).min() if low.any() else 0.0
+        hi = f[up].max() if up.any() else 0.0
+        lo = f[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
     return alpha, bias, it
 
@@ -229,17 +242,20 @@ def train_binary(
     *,
     tol: float = 1e-3,
     max_iter: int = 0,
+    gram: np.ndarray | None = None,
 ) -> BinarySvm:
     """Train one soft margin machine on labels in {-1, +1}.
 
-    The kernel matrix is computed once and held in memory.  max_iter of
-    0 picks a generous default proportional to the training size.
+    The kernel matrix is computed once and held in memory; a caller
+    that trains several machines on the same rows passes it as gram,
+    which must equal kernel_matrix(x, x, kernel).  max_iter of 0 picks
+    a generous default proportional to the training size.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] != y.size:
         raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise TrainingError("labels must be -1 or +1")
     if np.all(y > 0) or np.all(y < 0):
         raise TrainingError("training set contains a single class")
@@ -248,7 +264,12 @@ def train_binary(
     if max_iter <= 0:
         max_iter = max(100_000, 1_000 * y.size)
 
-    k = kernel_matrix(x, x, kernel)
+    if gram is None:
+        k = kernel_matrix(x, x, kernel)
+    else:
+        k = np.asarray(gram, dtype=np.float64)
+        if k.shape != (y.size, y.size):
+            raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
     alpha, bias, _ = _smo(k, y, c, tol, max_iter)
 
     atol = 1e-12 * max(c, 1.0)
@@ -259,6 +280,7 @@ def train_binary(
         bias=bias,
         kernel=kernel,
         c=c,
+        support=np.flatnonzero(sv),
     )
 
 
@@ -316,10 +338,24 @@ def train_one_vs_one(
     return SvmModel(list(classes), machines, standardizer, c, kernel)
 
 
-def decision_values(model: SvmModel, x: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Raw pairwise decision values for each test row (no standardisation)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return {pair: svm.decision(x) for pair, svm in model.machines.items()}
+def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> np.ndarray:
+    """Winning class index for each column of values, one row per pair.
+
+    Machine (a, b) votes for a where its decision value is >= 0 and for
+    b otherwise.  The class with most votes wins; vote ties are broken
+    by the larger sum of |decision| over the machines involving the
+    class, added in the order of pairs, and any remaining tie by the
+    lower class index.
+    """
+    n = values.shape[1]
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1)  # a0, b0, a1, b1, ...
+    pick_a = values >= 0
+    votes = np.zeros((n_classes, n), dtype=np.int64)
+    weight = np.zeros((n_classes, n))
+    np.add.at(votes, ends, np.stack([pick_a, ~pick_a], axis=1).reshape(-1, n))
+    np.add.at(weight, ends, np.repeat(np.abs(values), 2, axis=0))
+    heavy = np.where(votes == votes.max(axis=0), weight, -1.0)
+    return (heavy == heavy.max(axis=0)).argmax(axis=0)
 
 
 def predict(model: SvmModel, x: np.ndarray, *, standardized: bool = False) -> np.ndarray:
@@ -334,24 +370,10 @@ def predict(model: SvmModel, x: np.ndarray, *, standardized: bool = False) -> np
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not standardized and model.standardizer is not None:
         x = model.standardizer.apply(x)
-    n = x.shape[0]
-    n_classes = len(model.classes)
-    votes = np.zeros((n, n_classes), dtype=np.int64)
-    weight = np.zeros((n, n_classes))
-    for (a, b), values in decision_values(model, x).items():
-        pick_a = values >= 0
-        votes[:, a] += pick_a
-        votes[:, b] += ~pick_a
-        weight[:, a] += np.abs(values)
-        weight[:, b] += np.abs(values)
-    out = []
-    for row in range(n):
-        best = np.flatnonzero(votes[row] == votes[row].max())
-        if best.size > 1:
-            top = weight[row, best].max()
-            best = best[weight[row, best] == top]
-        out.append(model.classes[int(best[0])])
-    return np.asarray(out)
+    pairs = list(model.machines)
+    values = np.asarray([model.machines[p].decision(x) for p in pairs], dtype=np.float64)
+    winners = _vote(values.reshape(len(pairs), x.shape[0]), pairs, len(model.classes))
+    return np.asarray([model.classes[k] for k in winners])
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +437,18 @@ def model_select(
     if len(classes) < 2:
         raise TrainingError("model selection needs at least two classes")
 
+    c_values = [float(c) for c in c_grid]
     if kernel_kind == "linear":
-        candidates = [(float(c), None) for c in c_grid]
+        sigmas = [None]
     elif kernel_kind == "gaussian":
-        candidates = [(float(c), float(s)) for c in c_grid for s in sigma_grid]
+        sigmas = [float(s) for s in sigma_grid]
     else:
         raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
-    candidates.sort(key=lambda cs: (cs[0], cs[1] if cs[1] is not None else 0.0))
+    # (C index, sigma index), in the order candidates are preferred on ties
+    candidates = sorted(
+        ((ci, si) for ci in range(len(c_values)) for si in range(len(sigmas))),
+        key=lambda cs: (c_values[cs[0]], sigmas[cs[1]] or 0.0),
+    )
 
     halves = [
         _halve_stratified(labels, rng_from(seed, r)) for r in range(n_resample)
@@ -429,22 +456,42 @@ def model_select(
     # validation halves may be empty when every class has one example
     halves = [(le, va) for le, va in halves if va.size > 0]
     if not halves:
-        return candidates[0][0], candidates[0][1], 0.0
+        ci, si = candidates[0]
+        return c_values[ci], sigmas[si], 0.0
 
-    best_c, best_sigma, best_score = candidates[0][0], candidates[0][1], -1.0
-    for c, sigma in candidates:
-        spec = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
-        total = 0.0
-        for learn_idx, val_idx in halves:
-            model = train_one_vs_one(
-                x[learn_idx], labels[learn_idx], c, spec, classes=classes
-            )
-            pred = predict(model, x[val_idx], standardized=True)
-            total += map_score(labels[val_idx], pred, classes=classes)
-        score = total / len(halves)
+    # Every candidate trains the same pair machines on the same rows, so
+    # each pair's training Gram and its kernel block against the
+    # validation half are computed once per half and sigma and shared by
+    # the whole C grid.
+    pairs = [(a, b) for a in range(len(classes)) for b in range(a + 1, len(classes))]
+    names = np.asarray(classes)
+    totals = np.zeros((len(c_values), len(sigmas)))
+    for learn_idx, val_idx in halves:
+        x_learn, x_val = x[learn_idx], x[val_idx]
+        learn_labels, val_labels = labels[learn_idx], labels[val_idx]
+        for si, sigma in enumerate(sigmas):
+            spec = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
+            values = np.empty((len(c_values), len(pairs), val_idx.size))
+            for p, (a, b) in enumerate(pairs):
+                take_a = learn_labels == classes[a]
+                rows = take_a | (learn_labels == classes[b])
+                y = np.where(take_a[rows], 1.0, -1.0)
+                xr = x_learn[rows]
+                gram = kernel_matrix(xr, xr, spec)
+                cross = kernel_matrix(xr, x_val, spec)
+                for ci, c in enumerate(c_values):
+                    machine = train_binary(xr, y, c, spec, gram=gram)
+                    values[ci, p] = machine.alpha_signed @ cross[machine.support] + machine.bias
+            for ci in range(len(c_values)):
+                pred = names[_vote(values[ci], pairs, len(classes))]
+                totals[ci, si] += map_score(val_labels, pred, classes=classes)
+
+    best, best_score = candidates[0], -1.0
+    for ci, si in candidates:
+        score = float(totals[ci, si] / len(halves))
         if score > best_score:
-            best_c, best_sigma, best_score = c, sigma, score
-    return best_c, best_sigma, best_score
+            best, best_score = (ci, si), score
+    return c_values[best[0]], sigmas[best[1]], best_score
 
 
 # ---------------------------------------------------------------------------

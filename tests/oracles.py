@@ -3,7 +3,11 @@
 Everything here is written from the mathematical definitions with the
 plainest possible code (explicit per frame loops, generic optimizers,
 exhaustive enumeration) and shares no helpers with the package, so a
-library bug cannot be masked by an identical bug in its oracle.
+library bug cannot be masked by an identical bug in its oracle.  The
+two exceptions check optimised library code against the plain version
+it replaced: smo_oracle keeps the solver loop that recomputes every
+quantity per step, and model_select_oracle retrains every candidate
+from scratch through the package's one against one trainer.
 """
 
 import itertools
@@ -151,6 +155,123 @@ def svm_dual_enumerate(k_matrix, y, c):
         elif abs(float(y @ alpha)) > 1e-9:
             continue
         best = max(best, svm_dual_objective(k_matrix, y, alpha))
+    return best
+
+
+def smo_oracle(k, y, c, tol, max_iter):
+    """Pairwise SMO as first written: every mask and violation recomputed
+    from the gradient at each step.
+
+    Maintains the dual gradient g = Q alpha - 1 (Q = yy' * K) and at
+    each step updates the pair (i, j) maximising the KKT violation
+    m - M, where m = max(-y g) over indices free to increase and
+    M = min(-y g) over indices free to decrease, lowest index on ties.
+    Stops when m - M <= tol.  Returns (alpha, bias, iterations).  The
+    library solver must reproduce all three bit for bit.
+    """
+    n = y.size
+    atol = 1e-12 * max(c, 1.0)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    pos = y > 0
+
+    it = 0
+    while True:
+        y_grad = y * grad
+        up = (pos & (alpha < c - atol)) | (~pos & (alpha > atol))
+        low = (~pos & (alpha < c - atol)) | (pos & (alpha > atol))
+        if not up.any() or not low.any():
+            break
+        viol = -y_grad
+        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
+        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
+        m, mm = viol[i], viol[j]
+        if m - mm <= tol:
+            break
+        if it >= max_iter:
+            raise RuntimeError(f"no convergence in {max_iter} iterations")
+        it += 1
+
+        sign = y[i] * y[j]
+        if sign < 0:
+            lo = max(0.0, alpha[j] - alpha[i])
+            hi = min(c, c + alpha[j] - alpha[i])
+        else:
+            lo = max(0.0, alpha[i] + alpha[j] - c)
+            hi = min(c, alpha[i] + alpha[j])
+        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        eta = max(eta, 1e-12)
+        a_j = alpha[j] + y[j] * (y_grad[i] - y_grad[j]) / eta
+        a_j = min(max(a_j, lo), hi)
+        if a_j < atol:
+            a_j = 0.0
+        elif a_j > c - atol:
+            a_j = c
+        delta_j = a_j - alpha[j]
+        if delta_j == 0.0:
+            break
+        delta_i = -sign * delta_j
+        alpha[i] += delta_i
+        alpha[j] += delta_j
+        grad += y * (y[i] * delta_i * k[i] + y[j] * delta_j * k[j])
+
+    y_grad = y * grad
+    free = (alpha > atol) & (alpha < c - atol)
+    if free.any():
+        bias = float(np.mean(-y_grad[free]))
+    else:
+        up = (pos & (alpha < c - atol)) | (~pos & (alpha > atol))
+        low = (~pos & (alpha < c - atol)) | (pos & (alpha > atol))
+        hi = (-y_grad[up]).max() if up.any() else 0.0
+        lo = (-y_grad[low]).min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    return alpha, bias, it
+
+
+def model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, n_resample, seed):
+    """(C, sigma, score) chosen by retraining every candidate from scratch.
+
+    Each candidate trains one against one machines on every learning
+    half with train_one_vs_one and scores predict on the validation
+    half by mean average precision; the best average wins, ties going
+    to the smaller C, then the smaller sigma.  The halves are drawn
+    per class from Philox streams keyed (seed, r), the extra example of
+    an odd class staying in the learning half.
+    """
+    from scenehog import KernelSpec, map_score, predict, train_one_vs_one
+
+    labels = np.asarray([str(v) for v in labels])
+    classes = sorted(set(labels))
+    halves = []
+    for r in range(n_resample):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, r])))
+        learn, val = [], []
+        for name in classes:
+            idx = np.flatnonzero(labels == name)
+            idx = idx[rng.permutation(idx.size)]
+            cut = (idx.size + 1) // 2
+            learn.append(idx[:cut])
+            val.append(idx[cut:])
+        learn, val = np.sort(np.concatenate(learn)), np.sort(np.concatenate(val))
+        if val.size:
+            halves.append((learn, val))
+
+    sigmas = [None] if kernel_kind == "linear" else [float(s) for s in sigma_grid]
+    candidates = sorted(
+        ((float(c), s) for c in c_grid for s in sigmas),
+        key=lambda cs: (cs[0], 0.0 if cs[1] is None else cs[1]),
+    )
+    best = None
+    for c, sigma in candidates:
+        spec = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
+        total = 0.0
+        for learn, val in halves:
+            model = train_one_vs_one(x[learn], labels[learn], c, spec, classes=classes)
+            pred = predict(model, x[val], standardized=True)
+            total += map_score(labels[val], pred, classes=classes)
+        score = total / len(halves)
+        if best is None or score > best[2]:
+            best = (c, sigma, score)
     return best
 
 

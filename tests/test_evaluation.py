@@ -9,7 +9,7 @@ from scenehog import (
     write_report,
 )
 from scenehog.cli import main
-from scenehog.errors import ConfigError, FormatError, ProtocolError
+from scenehog.errors import ConfigError, DataError, FormatError, ProtocolError
 
 
 def blob_data(n_per_class=14, seed=42, spread=0.5):
@@ -130,6 +130,15 @@ class TestRunProtocol:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             run_protocol(np.zeros((4, 2)), ["a", "b"], n_splits=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((16, 4))
+        x[5, 2] = bad
+        labels = ["a"] * 8 + ["b"] * 8
+        with pytest.raises(DataError, match="NaN or infinite"):
+            run_protocol(x, labels, n_splits=2, seed=0)
 
 
 class TestReportFiles:

@@ -14,9 +14,16 @@ from scenehog import (
     train_binary,
     train_one_vs_one,
 )
+from scenehog import svm as svm_module
 from scenehog.errors import ConfigError, FormatError, TrainingError
 
-from oracles import svm_dual_enumerate, svm_dual_objective, svm_dual_slsqp
+from oracles import (
+    model_select_oracle,
+    smo_oracle,
+    svm_dual_enumerate,
+    svm_dual_objective,
+    svm_dual_slsqp,
+)
 
 
 def recover_alpha(svm, x):
@@ -180,6 +187,50 @@ class TestBinarySvm:
         with pytest.raises(ConfigError):
             train_binary(x, np.array([-1.0, 1.0]), 0.0, KernelSpec("linear"))
 
+    def test_solver_bit_identical_to_oracle(self):
+        """The maintained violation vector reproduces the recompute-everything
+        loop exactly: same alpha bits, bias bits and iteration count."""
+        rng = np.random.default_rng(42)
+        for trial in range(120):
+            n = int(rng.integers(2, 41))
+            x = rng.standard_normal((n, int(rng.integers(1, 6))))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            y[:2] = (-1.0, 1.0)
+            c = float(10.0 ** rng.uniform(-3.0, 2.0))
+            spec = (
+                KernelSpec("linear") if trial % 2
+                else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
+            )
+            k = kernel_matrix(x, x, spec)
+            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
+            want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
+            assert alpha.tobytes() == want_alpha.tobytes()
+            assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+            assert it == want_it
+
+    def test_given_gram_is_bit_identical(self):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((15, 4))
+        y = np.where(rng.random(15) < 0.5, -1.0, 1.0)
+        y[:2] = (-1.0, 1.0)
+        for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=2.0)):
+            plain = train_binary(x, y, 2.0, spec)
+            given = train_binary(x, y, 2.0, spec, gram=kernel_matrix(x, x, spec))
+            assert given.alpha_signed.tobytes() == plain.alpha_signed.tobytes()
+            assert given.support_vectors.tobytes() == plain.support_vectors.tobytes()
+            assert given.bias == plain.bias
+            np.testing.assert_array_equal(given.support, plain.support)
+            np.testing.assert_array_equal(x[given.support], given.support_vectors)
+
+    def test_gram_of_wrong_shape_rejected(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([-1.0, 1.0, 1.0])
+        spec = KernelSpec("linear")
+        with pytest.raises(ConfigError):
+            train_binary(x, y, 1.0, spec, gram=kernel_matrix(x[:2], x[:2], spec))
+        with pytest.raises(ConfigError):
+            train_binary(x, y, 1.0, spec, gram=kernel_matrix(x, x[:2], spec))
+
 
 def three_blobs(n=12, seed=42):
     rng = np.random.default_rng(seed)
@@ -187,6 +238,17 @@ def three_blobs(n=12, seed=42):
     xs, labels = [], []
     for name, (cx, cy) in centers.items():
         xs.append(rng.normal((cx, cy), 0.4, (n, 2)))
+        labels += [name] * n
+    return np.vstack(xs), np.asarray(labels)
+
+
+def four_blobs(n=8, seed=42):
+    """Four overlapping classes, so validation scores differ across C."""
+    rng = np.random.default_rng(seed)
+    centers = {"a": (0.0, 0.0), "b": (2.0, 0.0), "c": (0.0, 2.0), "d": (2.0, 2.0)}
+    xs, labels = [], []
+    for name, center in centers.items():
+        xs.append(rng.normal(center, 0.9, (n, 2)))
         labels += [name] * n
     return np.vstack(xs), np.asarray(labels)
 
@@ -232,6 +294,24 @@ class TestOneVsOne:
         )
         # weights: p gets 1+4, q gets 1+2, r gets 2+4 -> r wins
         assert predict(model, np.array([[1.0]]), standardized=True)[0] == "r"
+
+    def test_vote_and_weight_tie_goes_to_lowest_class(self):
+        """Every class gets one vote and the same |decision| sum; the
+        lowest class index wins."""
+        spec = KernelSpec("linear")
+        def stub(w):
+            return BinarySvm(
+                support_vectors=np.array([[w]]), alpha_signed=np.array([1.0]),
+                bias=0.0, kernel=spec, c=1.0,
+            )
+        # at x = 1: f01 = +1 (votes 0), f12 = +1 (votes 1), f02 = -1 (votes 2)
+        # at x = -1 every sign flips: f01 votes 1, f12 votes 2, f02 votes 0
+        model = SvmModel(
+            classes=["p", "q", "r"],
+            machines={(0, 1): stub(1.0), (1, 2): stub(1.0), (0, 2): stub(-1.0)},
+        )
+        probes = np.array([[1.0], [-1.0]])
+        np.testing.assert_array_equal(predict(model, probes, standardized=True), ["p", "p"])
 
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
@@ -282,6 +362,39 @@ class TestModelSelect:
         x, labels = three_blobs(n=4)
         with pytest.raises(ConfigError):
             model_select(x, labels, "cubic")
+
+    @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid", [("linear", None), ("gaussian", (0.5, 2.0, 8.0))]
+    )
+    def test_matches_retrain_from_scratch_oracle(self, kernel_kind, sigma_grid):
+        x, labels = four_blobs()
+        c_grid = 10.0 ** np.linspace(-3.0, 2.0, 6)
+        got = model_select(
+            x, labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid, seed=5
+        )
+        want = model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, 5, 5)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid, n_sigma", [("linear", (1.0, 2.0), 1), ("gaussian", (1.0, 2.0), 2)]
+    )
+    def test_one_machine_per_candidate_half_and_pair(
+        self, monkeypatch, kernel_kind, sigma_grid, n_sigma
+    ):
+        calls = []
+        real = svm_module.train_binary
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svm_module, "train_binary", counted)
+        x, labels = four_blobs()
+        model_select(
+            x, labels, kernel_kind, c_grid=np.array([0.1, 1.0, 10.0]),
+            sigma_grid=sigma_grid, n_resample=3, seed=2,
+        )
+        assert len(calls) == 3 * n_sigma * 3 * 6   # |C| |sigma| halves pairs
 
 
 class TestModelPersistence:
