@@ -72,7 +72,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         clip.source_id = source_id
         clips.append(clip)
     x, labels, ids, timing = extract_clips(clips, cfg, threads=args.threads)
-    write_features(args.out, x, labels, cfg.config_hash())
+    write_features(args.out, x, labels, cfg.extraction_hash())
     if args.dump_images:
         from .pipeline import filtered_image
 
@@ -91,7 +91,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = parse_config_file(args.config, args.overrides)
-    x, labels, _ = read_features(args.features)
+    x, labels, stored = read_features(args.features)
+    expected = cfg.extraction_hash()
+    if stored != expected:
+        raise ConfigError(
+            f"{args.features} was not extracted under this configuration "
+            f"(extraction hash {stored or 'missing'}, expected {expected}); "
+            "re-extract it or set the keys it was extracted with"
+        )
     report = run_experiment(x, labels, cfg, threads=args.threads)
     write_report(args.report, report)
     if args.manifest_dir:

@@ -103,6 +103,12 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
     orientation bin containing atan2(Gy, Gx), taken in [0, 2pi).  Zero
     gradients contribute nothing.  The image sides must be divisible by
     the cell size.
+
+    The magnitude is sqrt(Gx^2 + Gy^2), within one ulp of hypot(Gx, Gy)
+    while the squares neither overflow nor underflow; the central
+    differences of an image in [0, 1] are at most 1 in size.  An angle
+    just below 0 can round to 2pi once shifted; its bin index n_bins
+    wraps to 0.
     """
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -117,14 +123,16 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
     n_bins = 2 * cfg.n_orient
     rows, cols = h // cs, w // cs
 
-    mag = np.hypot(gx, gy)
+    mag = gx * gx
+    mag += gy * gy
+    np.sqrt(mag, out=mag)
     theta = np.arctan2(gy, gx)
-    theta = np.where(theta < 0, theta + 2.0 * np.pi, theta)
-    bins = np.floor(theta * (n_bins / (2.0 * np.pi))).astype(np.int64) % n_bins
-
-    cell_r = np.arange(h) // cs
-    cell_c = np.arange(w) // cs
-    flat = (cell_r[:, None] * cols + cell_c[None, :]) * n_bins + bins
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+    theta *= n_bins / (2.0 * np.pi)
+    flat = theta.astype(np.intp)
+    flat[flat == n_bins] = 0
+    flat += (np.arange(h) // cs * (cols * n_bins))[:, None]
+    flat += (np.arange(w) // cs * n_bins)[None, :]
     hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=rows * cols * n_bins)
     return hist.reshape(rows, cols, n_bins)
 

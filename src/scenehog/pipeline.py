@@ -42,6 +42,16 @@ __all__ = [
 
 _STAGES = ("cqt", "image", "filter", "hog", "pool")
 
+# The keys that shape a feature vector: transform, image, descriptor,
+# pooling and segmentation.  A feature file records their hash.
+_EXTRACTION_KEYS = (
+    "f_min_hz", "f_max_hz", "bins_per_octave", "hop_samples",
+    "image_size", "db_floor", "filter_size",
+    "cell_size", "n_orient", "clip_tau", "eps_norm",
+    "variant", "include_factors", "pooling", "grid_freq", "grid_time",
+    "seg_seconds",
+)
+
 
 @dataclass
 class RunConfig:
@@ -111,14 +121,11 @@ class RunConfig:
         if self.fixed_train_count < 0:
             raise ConfigError("fixed_train_count must be >= 0 (0 disables)")
         # constructing the stage configs runs their own checks
+        CqtConfig(self.f_min_hz, self.f_max_hz, self.bins_per_octave)
         self.hog_config()
         self.pool_config()
         self.c_grid_values()
         self.sigma_grid_values()
-        if self.f_max_hz <= self.f_min_hz:
-            raise ConfigError(
-                f"f_max_hz must exceed f_min_hz, got {self.f_min_hz}..{self.f_max_hz}"
-            )
         if self.seg_seconds < 0:
             raise ConfigError("seg_seconds must be >= 0 (0 disables)")
 
@@ -191,6 +198,12 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:40]
+
+    def extraction_hash(self) -> str:
+        """Hash of the extraction keys alone, as stored in feature files;
+        learning, evaluation and generation keys do not change it."""
+        text = "".join(f"{k}={getattr(self, k)}\n" for k in _EXTRACTION_KEYS)
+        return hashlib.sha256(text.encode()).hexdigest()[:40]
 
     def with_overrides(self, pairs: list[str]) -> "RunConfig":
         out = dataclasses.replace(self)

@@ -1,8 +1,8 @@
 """On disk formats: feature matrices, dataset layout, split manifests, PGM.
 
 Feature files use a fixed 64 byte header (magic "HFTR", version, row
-and column counts, 40 character configuration hash) followed by the
-row major little endian float32 payload.  Labels travel in a text
+and column counts, 40 character extraction hash) followed by the row
+major little endian float32 payload.  Labels travel in a text
 sidecar next to the matrix, one class name per line.
 """
 
@@ -62,7 +62,7 @@ def write_features(
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
-    """Read a feature file; returns (matrix as float64, labels, config hash).
+    """Read a feature file; returns (matrix as float64, labels, extraction hash).
 
     A file holding a NaN or infinite value is refused with FormatError.
     """

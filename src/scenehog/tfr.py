@@ -284,6 +284,13 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     The window for output pixel (i, j) starts floor(k/2) rows above and
     floor(k/2) columns left of the pixel, which for even k leans one
     pixel up and left.  k = 1 is the identity.
+
+    The filter is separable and runs as two identical passes that
+    average k consecutive rows: the first over the image, the second
+    over its transpose, each followed by a contiguous transpose.  A row
+    pass adds whole rows in order, which streams through memory, where
+    averaging each k-pixel window along a row would reduce every window
+    on its own.  Constants are reproduced exactly.
     """
     if k < 1:
         raise ConfigError(f"filter size must be >= 1, got {k}")
@@ -295,9 +302,7 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     lo = k // 2
     hi = k - 1 - lo
     out = img
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (lo, hi)
-        padded = np.pad(out, pad, mode="edge")
-        out = sliding_window_view(padded, k, axis=axis).mean(axis=-1)
+    for _ in range(2):
+        padded = np.pad(out, ((lo, hi), (0, 0)), mode="edge")
+        out = np.ascontiguousarray(sliding_window_view(padded, k, axis=0).mean(axis=-1).T)
     return out

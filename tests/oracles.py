@@ -78,6 +78,58 @@ def cqt_bin_count(f_min, f_max, bins_per_octave):
     return int(math.floor(bins_per_octave * math.log2(f_max / f_min))) + 1
 
 
+def mean_filter_oracle(img, k):
+    """k x k box average with replicated borders, pixel by pixel.
+
+    Output (i, j) averages rows i - k//2 .. i - k//2 + k - 1 and the
+    same span of columns, with every index clamped into the image.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    lo = k // 2
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            total = 0.0
+            for di in range(k):
+                r = min(max(i - lo + di, 0), h - 1)
+                for dj in range(k):
+                    c = min(max(j - lo + dj, 0), w - 1)
+                    total += float(img[r, c])
+            out[i, j] = total / (k * k)
+    return out
+
+
+def cell_histograms_oracle(gx, gy, cell_size, n_orient):
+    """Signed orientation histograms per square cell, pixel by pixel.
+
+    Pixel (i, j) votes hypot(Gx, Gy) into signed bin
+    floor(theta * (2B / 2pi)) of cell (i // cell_size, j // cell_size),
+    where theta = atan2(Gy, Gx) moved into [0, 2pi) and the bin scale
+    2B / 2pi is rounded once, which places the float bin edges.  A bin
+    index of 2B (theta rounding up to 2pi) is bin 0.  Zero gradients
+    cast no vote.
+    """
+    gx = np.asarray(gx, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    h, w = gx.shape
+    n_bins = 2 * n_orient
+    scale = n_bins / (2.0 * math.pi)
+    hist = np.zeros((h // cell_size, w // cell_size, n_bins))
+    for i in range(h):
+        for j in range(w):
+            x, y = float(gx[i, j]), float(gy[i, j])
+            mag = math.hypot(x, y)
+            if mag == 0.0:
+                continue
+            theta = math.atan2(y, x)
+            if theta < 0.0:
+                theta += 2.0 * math.pi
+            b = math.floor(theta * scale) % n_bins
+            hist[i // cell_size, j // cell_size, b] += mag
+    return hist
+
+
 def svm_dual_objective(k_matrix, y, alpha):
     """Value of the soft margin dual at alpha."""
     q = (y[:, None] * y[None, :]) * k_matrix

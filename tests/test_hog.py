@@ -6,7 +6,33 @@ import pytest
 from scenehog import HogConfig, HogGrid, cell_histograms, gradient, hog, normalize_cells
 from scenehog.errors import ConfigError
 
+from oracles import cell_histograms_oracle
+
 NEIGHBOURHOODS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+# (Gx, Gy) on bin edges and signed zeros: the four diagonals, the axes,
+# theta = -pi (Gy = -0.0 with Gx < 0), a tiny negative theta that
+# rounds to 2pi once shifted, and zero gradients
+EDGE_GRADIENTS = [
+    (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (2.5, 2.5),
+    (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+    (-1.0, -0.0), (1.0, -0.0), (-0.0, 1.0), (-0.0, -1.0), (1.0, -1e-300),
+    (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0),
+]
+
+
+def gradients_with_edges(rng, shape):
+    """Random gradients whose first row starts with EDGE_GRADIENTS.
+
+    Only edges that atan2 returns exactly are used: near an edge, a one
+    ulp difference between two atan2 implementations may pick either
+    bin.
+    """
+    gx = rng.standard_normal(shape)
+    gy = rng.standard_normal(shape)
+    for j, (x, y) in enumerate(EDGE_GRADIENTS):
+        gx[0, j], gy[0, j] = x, y
+    return gx, gy
 
 
 def normalize_reference(raw, cfg):
@@ -104,6 +130,23 @@ class TestCellHistograms:
         cfg = HogConfig(cell_size=5, n_orient=8)
         with pytest.raises(ConfigError):
             cell_histograms(np.zeros((12, 12)), np.zeros((12, 12)), cfg)
+
+    def test_bins_match_oracle(self):
+        """With one pixel per cell the only non-zero entry is the pixel's bin."""
+        rng = np.random.default_rng(42)
+        for n_orient in (1, 2, 3, 4, 8, 9):
+            gx, gy = gradients_with_edges(rng, (6, 20))
+            hist = cell_histograms(gx, gy, HogConfig(cell_size=1, n_orient=n_orient))
+            ref = cell_histograms_oracle(gx, gy, 1, n_orient)
+            np.testing.assert_array_equal(hist != 0, ref != 0)
+
+    def test_weighted_sums_match_oracle(self):
+        rng = np.random.default_rng(42)
+        for n_orient, cs in ((8, 4), (3, 2), (9, 5)):
+            gx, gy = gradients_with_edges(rng, (4 * cs, 20))
+            hist = cell_histograms(gx, gy, HogConfig(cell_size=cs, n_orient=n_orient))
+            ref = cell_histograms_oracle(gx, gy, cs, n_orient)
+            np.testing.assert_allclose(hist, ref, rtol=1e-12, atol=0)
 
 
 class TestNormalizeCells:

@@ -72,6 +72,16 @@ class TestRunConfig:
         assert a.config_hash() != c.config_hash()
         assert len(a.config_hash()) == 40
 
+    def test_extraction_hash_covers_extraction_keys_only(self):
+        a = small_config()
+        for kw in (dict(kernel="gaussian"), dict(n_splits=3), dict(seed=9),
+                   dict(c_grid="1,2"), dict(n_per_class=7)):
+            assert small_config(**kw).extraction_hash() == a.extraction_hash()
+        for kw in (dict(cell_size=16), dict(filter_size=5), dict(f_min_hz=60.0),
+                   dict(pooling="grid"), dict(variant="signed"), dict(seg_seconds=0.5)):
+            assert small_config(**kw).extraction_hash() != a.extraction_hash()
+        assert len(a.extraction_hash()) == 40
+
     def test_with_overrides_does_not_mutate(self):
         a = small_config()
         b = a.with_overrides(["n_orient=4", "include_factors=true"])
@@ -115,6 +125,13 @@ class TestParseConfigFile:
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_file(None, ["include_factors=maybe"])
+
+    def test_bad_transform_values_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for line in ("f_min_hz=0", "f_min_hz=-5", "bins_per_octave=0"):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                parse_config_file(path)
 
     def test_no_file_gives_defaults(self):
         assert parse_config_file(None) == RunConfig()
@@ -278,6 +295,17 @@ class TestCli:
         )
         assert rc == 3
         assert "mismatch" in err
+
+    def test_experiment_refuses_other_extraction_config(self, toy_workspace, capsys):
+        root, cfg_file = toy_workspace
+        report = root / "mismatch_report.txt"
+        rc, _, err = run_cli(
+            capsys, "experiment", "--config", cfg_file, "--set", "cell_size=16",
+            "--features", root / "toy.features", "--report", report,
+        )
+        assert rc == 2
+        assert "not extracted under this configuration" in err
+        assert not report.exists()
 
     def test_config_error_exit_code(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace

@@ -7,7 +7,7 @@ from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_
 from scenehog.errors import ConfigError
 from scenehog.tfr import _octave_kernels
 
-from oracles import cqt_oracle, cqt_profile_oracle
+from oracles import cqt_oracle, cqt_profile_oracle, mean_filter_oracle
 
 # small geometry that keeps the per-frame oracle affordable
 FS = 4000
@@ -292,3 +292,13 @@ class TestMeanFilter:
     def test_bad_k(self):
         with pytest.raises(ConfigError):
             mean_filter(np.zeros((4, 4)), 0)
+
+    def test_matches_oracle(self):
+        """Non-square images and even k catch a swapped axis or anchor."""
+        rng = np.random.default_rng(42)
+        for shape in ((17, 29), (29, 17), (3, 5)):
+            img = rng.random(shape)
+            for k in (1, 2, 3, 4, 15):
+                np.testing.assert_allclose(
+                    mean_filter(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
+                )
