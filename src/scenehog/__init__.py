@@ -50,6 +50,7 @@ from .pooling import (
     PoolConfig,
     feature_dim,
     full_features,
+    pool,
     pool_grid,
     pool_marginalized,
 )

@@ -71,15 +71,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
         clip = read_wav(path, label=label)
         clip.source_id = source_id
         clips.append(clip)
-    x, labels, ids, timing = extract_clips(clips, cfg, threads=args.threads)
+    x, labels, ids, timing = extract_clips(
+        clips, cfg, threads=args.threads, dump_images=args.dump_images
+    )
     write_features(args.out, x, labels, cfg.extraction_hash())
-    if args.dump_images:
-        from .pipeline import filtered_image
-
-        dump = Path(args.dump_images)
-        for clip in clips:
-            image = filtered_image(clip, cfg)
-            write_pgm(dump / f"{clip.source_id.replace('/', '_')}.pgm", image.pixels)
     _emit("rows", x.shape[0])
     _emit("dim", x.shape[1])
     _emit("skipped", scan.skipped)
@@ -173,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True, help="dataset root (class subdirs)")
     p.add_argument("--out", type=Path, required=True, help="output feature file")
     p.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    p.add_argument("--dump-images", type=Path, default=None, help="write PGM images here")
+    p.add_argument(
+        "--dump-images", type=Path, default=None,
+        help="write each row's filtered image here as PGM",
+    )
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("experiment", help="run the repeated split evaluation")

@@ -9,7 +9,6 @@ over splits and the per split confusion matrices are summed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import svm
 from .errors import ConfigError, DataError, FormatError, ProtocolError
 from .metrics import column_normalize, confusion_counts, map_score
-from .util import atomic_write_text, rng_from
+from .util import atomic_write_text, parallel_map, rng_from
 
 __all__ = [
     "EvalReport",
@@ -225,11 +224,7 @@ def run_protocol(
             tol=tol,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(n_splits)))
-    else:
-        results = [job(i) for i in range(n_splits)]
+    results = parallel_map(job, range(n_splits), threads)
 
     per_split = np.asarray([r[0] for r in results])
     confusion = np.sum([r[1] for r in results], axis=0)

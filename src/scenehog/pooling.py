@@ -1,18 +1,18 @@
 """Pooling of cell descriptors into fixed length feature vectors.
 
-Cells are averaged over rectangular blocks of the grid.  Two layouts
-are supported: a rectangular grid of F x T blocks, and the marginalized
-layout which concatenates full time pooling (one block per cell row)
-with full frequency pooling (one block per cell column).  Blocks are
-emitted frequency major (all blocks of the lowest frequency band first)
-and each block concatenates the enabled components in the fixed order
-signed | unsigned | factors.
+Cells are averaged over rectangular blocks of the grid.  A pooling
+mode is a list of (F, T) block layouts whose outputs are concatenated
+(PoolConfig.layouts): the marginalized mode is full time pooling (one
+block per cell row) followed by full frequency pooling (one block per
+cell column), the grid mode one F x T partition and the full mode one
+block per cell.  Blocks are emitted frequency major (all blocks of the
+lowest frequency band first) and each block concatenates the enabled
+components in the fixed order signed | unsigned | factors.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "pool_grid",
     "pool_marginalized",
     "full_features",
+    "pool",
     "feature_dim",
 ]
 
@@ -33,7 +34,7 @@ __all__ = [
 class PoolConfig:
     """Which components are pooled and how the grid is partitioned.
 
-    mode          "marginalized" or "grid"
+    mode          "marginalized", "grid" or "full" (no pooling)
     grid_freq     F, number of frequency blocks (grid mode)
     grid_time     T, number of time blocks (grid mode)
     use_signed    include the 2B signed histogram per block
@@ -49,8 +50,8 @@ class PoolConfig:
     use_factors: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("marginalized", "grid"):
-            raise ConfigError(f"unknown pooling mode {self.mode!r}")
+        if self.mode not in ("marginalized", "grid", "full"):
+            raise ConfigError(f"pooling must be marginalized|grid|full, got {self.mode!r}")
         if self.grid_freq < 1 or self.grid_time < 1:
             raise ConfigError("grid_freq and grid_time must be >= 1")
         if not (self.use_signed or self.use_unsigned or self.use_factors):
@@ -64,13 +65,20 @@ class PoolConfig:
             + (4 if self.use_factors else 0)
         )
 
+    def layouts(self, n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+        """The (F, T) block layouts of this mode on an n_rows x n_cols grid."""
+        if self.mode == "marginalized":
+            return [(n_rows, 1), (1, n_cols)]
+        if self.mode == "grid":
+            return [(self.grid_freq, self.grid_time)]
+        return [(n_rows, n_cols)]
+
 
 @dataclass
 class FeatureVector:
-    """A pooled descriptor plus the hash of the configuration that made it."""
+    """A pooled descriptor."""
 
     values: np.ndarray
-    signature: str = ""
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -93,15 +101,6 @@ def _components(grid: HogGrid, cfg: PoolConfig) -> list[np.ndarray]:
     return parts
 
 
-def _signature(grid: HogGrid, cfg: PoolConfig, f: int, t: int) -> str:
-    key = (
-        f"mode={cfg.mode};f={f};t={t};orient={grid.n_orient};"
-        f"signed={cfg.use_signed};unsigned={cfg.use_unsigned};"
-        f"factors={cfg.use_factors}"
-    )
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
-
-
 def pool_grid(grid: HogGrid, n_freq: int, n_time: int, cfg: PoolConfig) -> FeatureVector:
     """Average cells over an n_freq x n_time partition of the grid.
 
@@ -121,34 +120,28 @@ def pool_grid(grid: HogGrid, n_freq: int, n_time: int, cfg: PoolConfig) -> Featu
         pooled = part.reshape(n_freq, r // n_freq, n_time, c // n_time, d).mean(axis=(1, 3))
         blocks.append(pooled)
     stacked = np.concatenate(blocks, axis=2)
-    return FeatureVector(stacked.reshape(-1), _signature(grid, cfg, n_freq, n_time))
+    return FeatureVector(stacked.reshape(-1))
+
+
+def pool(grid: HogGrid, cfg: PoolConfig) -> FeatureVector:
+    """Pool the grid over every layout of cfg.mode, concatenated in order."""
+    layouts = cfg.layouts(grid.n_rows, grid.n_cols)
+    return FeatureVector(
+        np.concatenate([pool_grid(grid, f, t, cfg).values for f, t in layouts])
+    )
 
 
 def pool_marginalized(grid: HogGrid, cfg: PoolConfig) -> FeatureVector:
     """Concatenate time pooling (R blocks) with frequency pooling (C blocks)."""
-    time_pooled = pool_grid(grid, grid.n_rows, 1, cfg)
-    freq_pooled = pool_grid(grid, 1, grid.n_cols, cfg)
-    values = np.concatenate([time_pooled.values, freq_pooled.values])
-    return FeatureVector(values, _signature(grid, cfg, -1, -1))
+    return pool(grid, replace(cfg, mode="marginalized"))
 
 
 def full_features(grid: HogGrid, cfg: PoolConfig) -> FeatureVector:
     """No pooling: one block per cell (grid layout with F = R, T = C)."""
-    return pool_grid(grid, grid.n_rows, grid.n_cols, cfg)
+    return pool(grid, replace(cfg, mode="full"))
 
 
-def feature_dim(
-    cfg: PoolConfig,
-    n_orient: int,
-    grid_rows: int,
-    grid_cols: int,
-    *,
-    full: bool = False,
-) -> int:
+def feature_dim(cfg: PoolConfig, n_orient: int, grid_rows: int, grid_cols: int) -> int:
     """Dimension of the pooled vector without computing any features."""
-    width = cfg.block_width(n_orient)
-    if full:
-        return grid_rows * grid_cols * width
-    if cfg.mode == "marginalized":
-        return (grid_rows + grid_cols) * width
-    return cfg.grid_freq * cfg.grid_time * width
+    layouts = cfg.layouts(grid_rows, grid_cols)
+    return sum(f * t for f, t in layouts) * cfg.block_width(n_orient)

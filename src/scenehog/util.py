@@ -1,14 +1,18 @@
-"""Small shared helpers: derived random streams and atomic file writes."""
+"""Small shared helpers: derived random streams, atomic file writes and
+an order preserving parallel map."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["rng_from", "atomic_write_bytes", "atomic_write_text"]
+from .errors import ConfigError
+
+__all__ = ["rng_from", "atomic_write_bytes", "atomic_write_text", "parallel_map"]
 
 
 def rng_from(seed: int, *keys: int) -> np.random.Generator:
@@ -39,3 +43,19 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items] on up to `threads` worker threads.
+
+    Results follow the input order.  The worker count is capped at the
+    number of items; one worker runs in the calling thread.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

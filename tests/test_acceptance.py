@@ -106,11 +106,11 @@ def test_dimension_table():
     )
     dims = set()
 
-    def check(cfg, rows, cols, want, *, full=False, grid=None):
-        got = feature_dim(cfg, 8, rows, cols, full=full)
+    def check(cfg, rows, cols, want, *, grid=None):
+        got = feature_dim(cfg, 8, rows, cols)
         assert got == want, f"{cfg} on {rows}x{cols}: {got} != {want}"
         if grid is not None:
-            if full:
+            if cfg.mode == "full":
                 vec = pool_grid(grid, rows, cols, cfg)
             elif cfg.mode == "marginalized":
                 vec = pool_marginalized(grid, cfg)
@@ -147,8 +147,8 @@ def test_dimension_table():
 
     # no pooling, signed histograms only
     check(
-        PoolConfig(mode="grid", use_signed=True, use_unsigned=False),
-        64, 64, 65536, full=True, grid=grid64,
+        PoolConfig(mode="full", use_signed=True, use_unsigned=False),
+        64, 64, 65536, grid=grid64,
     )
 
     assert dims == {65536, 2048, 2560, 1024, 1536, 3072, 3584, 12288, 6144, 768}

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,17 @@ from scenehog import (
     parse_config_file,
     read_features,
     read_report,
+    read_wav,
+    run_protocol,
+    scan_dataset,
+    segment,
+    write_pgm,
 )
+from scenehog import pipeline
 from scenehog.cli import main
 from scenehog.errors import ConfigError
+from scenehog.tfr import cqt, mean_filter, to_image
+from scenehog.util import parallel_map
 
 SMALL = dict(f_min_hz=80.0, image_size=64, filter_size=3, cell_size=8, n_per_class=3)
 
@@ -150,10 +160,7 @@ class TestExtraction:
             vec, timing = extract_clip(clips[0], cfg)
             assert vec.dim == want
             cells = cfg.image_size // cfg.cell_size
-            assert want == feature_dim(
-                cfg.pool_config(), cfg.n_orient, cells, cells,
-                full=cfg.pooling == "full",
-            )
+            assert want == feature_dim(cfg.pool_config(), cfg.n_orient, cells, cells)
             assert set(timing) == {"cqt", "image", "filter", "hog", "pool"}
 
     def test_extract_clips_order_and_threads(self):
@@ -178,6 +185,27 @@ class TestExtraction:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             extract_clips([], small_config())
+
+    def test_thread_count_below_one_rejected(self):
+        cfg = small_config(n_per_class=1)
+        clips = generate_toy(cfg)
+        x = np.random.default_rng(0).standard_normal((8, 3))
+        labels = ["a", "b"] * 4
+        for threads in (0, -1):
+            with pytest.raises(ConfigError, match="threads"):
+                extract_clips(clips, cfg, threads=threads)
+            with pytest.raises(ConfigError, match="threads"):
+                run_protocol(x, labels, n_splits=2, fixed_train_count=2, threads=threads)
+
+
+class TestParallelMap:
+    def test_input_order(self):
+        assert parallel_map(lambda v: v * v, range(7), 2) == [v * v for v in range(7)]
+
+    def test_workers_capped_at_item_count(self):
+        """One item never leaves the calling thread, whatever the cap."""
+        caller = threading.current_thread()
+        assert parallel_map(lambda _: threading.current_thread(), [0], 8) == [caller]
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +280,46 @@ class TestCli:
         assert len(pgms) == 10
         assert pgms[0].read_bytes().startswith(b"P5\n64 64\n255\n")
 
+    @pytest.mark.parametrize("seg_seconds", [0.0, 0.25])
+    def test_dump_images_come_from_the_extraction_pass(
+        self, toy_workspace, capsys, monkeypatch, tmp_path, seg_seconds
+    ):
+        """One transform per row, and one PGM per row equal to the image
+        the descriptor saw, rebuilt here stage by stage."""
+        root, cfg_file = toy_workspace
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cqt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cqt", counted)
+        dump = tmp_path / "images"
+        rc, table, _ = run_cli(
+            capsys, "extract", "--config", cfg_file, "--set", f"seg_seconds={seg_seconds}",
+            "--data", root / "data", "--out", tmp_path / "x.features", "--dump-images", dump,
+        )
+        assert rc == 0
+        rows = int(table["rows"])
+        assert rows == (40 if seg_seconds else 10)
+        assert len(calls) == rows
+
+        cfg = parse_config_file(cfg_file, [f"seg_seconds={seg_seconds}"])
+        clips = []
+        for path, label, source_id in scan_dataset(root / "data").entries:
+            clip = read_wav(path, label=label)
+            clip.source_id = source_id
+            clips.extend(segment(clip, seg_seconds) if seg_seconds else [clip])
+        assert len(clips) == rows
+        assert len(list(dump.glob("*.pgm"))) == rows
+        for clip in clips:
+            spectrum = cqt(clip, cfg.cqt_config(clip))
+            image = to_image(np.abs(spectrum), size=cfg.image_size, db_floor=cfg.db_floor)
+            want = tmp_path / "want.pgm"
+            write_pgm(want, mean_filter(image.pixels, cfg.filter_size))
+            got = dump / f"{clip.source_id.replace('/', '_')}.pgm"
+            assert got.read_bytes() == want.read_bytes()
+
     def test_experiment(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace
         report_path = root / "report.txt"
@@ -315,6 +383,29 @@ class TestCli:
         )
         assert rc == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "pair",
+        ["f_min_hz=nan", "clip_tau=nan", "db_floor=nan", "train_frac=nan", "eps_norm=inf"],
+    )
+    def test_non_finite_value_exit_code(self, toy_workspace, capsys, pair):
+        root, cfg_file = toy_workspace
+        rc, _, err = run_cli(
+            capsys, "extract", "--config", cfg_file, "--set", pair,
+            "--data", root / "data", "--out", root / "x.features",
+        )
+        assert rc == 2
+        assert "config error" in err
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_exit_code(self, toy_workspace, capsys, threads):
+        root, cfg_file = toy_workspace
+        rc, _, err = run_cli(
+            capsys, "extract", "--config", cfg_file, "--threads", threads,
+            "--data", root / "data", "--out", root / "x.features",
+        )
+        assert rc == 2
+        assert "threads" in err
 
     def test_data_error_exit_code(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace

@@ -105,8 +105,8 @@ class TestFeatureDim:
             else:
                 vec = pool_grid(grid, cfg.grid_freq, cfg.grid_time, cfg)
             assert feature_dim(cfg, 8, 8, 16) == vec.dim
-        full_cfg = PoolConfig(mode="grid")
-        assert feature_dim(full_cfg, 8, 8, 16, full=True) == full_features(grid, full_cfg).dim
+        full_cfg = PoolConfig(mode="full")
+        assert feature_dim(full_cfg, 8, 8, 16) == full_features(grid, full_cfg).dim
 
     def test_reference_dimensions(self):
         """Regenerate the layout size table for a 512 pixel image, B = 8.
@@ -137,21 +137,14 @@ class TestFeatureDim:
             cfg = PoolConfig(mode="grid", grid_freq=f, grid_time=t)
             assert feature_dim(cfg, 8, 64, 64) == 1536
         # no pooling, signed histograms alone
-        full_cfg = PoolConfig(mode="grid", use_signed=True, use_unsigned=False)
-        assert feature_dim(full_cfg, 8, 64, 64, full=True) == 65536
+        full_cfg = PoolConfig(mode="full", use_signed=True, use_unsigned=False)
+        assert feature_dim(full_cfg, 8, 64, 64) == 65536
 
 
 class TestFeatureVector:
     def test_rejects_non_1d(self):
         with pytest.raises(ConfigError):
             FeatureVector(np.zeros((3, 3)))
-
-    def test_signature_distinguishes_layouts(self):
-        grid = make_grid(4, 4, 4)
-        a = pool_grid(grid, 2, 2, PoolConfig(mode="grid"))
-        b = pool_grid(grid, 4, 1, PoolConfig(mode="grid"))
-        c = pool_marginalized(grid, PoolConfig())
-        assert len({a.signature, b.signature, c.signature}) == 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
