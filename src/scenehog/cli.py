@@ -23,6 +23,7 @@ from .evaluation import read_report, stratified_split, write_report
 from .metrics import column_normalize, wilcoxon_signed_rank
 from .pipeline import extract_clips, generate_toy, parse_config_file, run_experiment
 from .store import SplitManifest, read_features, scan_dataset, write_features, write_pgm
+from .util import check_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +66,8 @@ def cmd_toygen(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = parse_config_file(args.config, args.overrides)
+    # refuse a bad worker count before decoding the whole dataset
+    check_threads(args.threads)
     scan = scan_dataset(args.data)
     clips = []
     for path, label, source_id in scan.entries:

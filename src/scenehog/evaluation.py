@@ -162,6 +162,7 @@ def _run_one_split(
         sigma_grid=sigma_grid,
         n_resample=n_resample,
         seed=int(rng_from(seed, split_index, 1).integers(2**63)),
+        tol=tol,
     )
     spec = (
         svm.KernelSpec("linear") if sigma is None else svm.KernelSpec("gaussian", sigma)

@@ -100,6 +100,10 @@ class RunConfig:
     n_resample: int = 5
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.variant not in ("signed", "unsigned", "both"):
             raise ConfigError(f"variant must be signed|unsigned|both, got {self.variant!r}")
         if self.kernel not in ("linear", "gaussian"):
@@ -224,10 +228,7 @@ def _coerce(name: str, kind: type, raw: str):
         if kind is int:
             return int(raw)
         if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(raw)
-            return value
+            return float(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc

@@ -12,7 +12,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["rng_from", "atomic_write_bytes", "atomic_write_text", "parallel_map"]
+__all__ = [
+    "rng_from", "atomic_write_bytes", "atomic_write_text", "check_threads", "parallel_map",
+]
 
 
 def rng_from(seed: int, *keys: int) -> np.random.Generator:
@@ -45,14 +47,18 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
+
 def parallel_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items] on up to `threads` worker threads.
 
     Results follow the input order.  The worker count is capped at the
     number of items; one worker runs in the calling thread.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     items = list(items)
     workers = min(threads, len(items))
     if workers <= 1:

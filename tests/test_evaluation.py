@@ -8,6 +8,7 @@ from scenehog import (
     stratified_split,
     write_report,
 )
+from scenehog import svm
 from scenehog.cli import main
 from scenehog.errors import ConfigError, DataError, FormatError, ProtocolError
 
@@ -130,6 +131,26 @@ class TestRunProtocol:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             run_protocol(np.zeros((4, 2)), ["a", "b"], n_splits=1)
+
+    def test_tol_reaches_model_selection(self, monkeypatch):
+        """Every machine, in model selection and in the final one against
+        one training, trains to the caller's tolerance."""
+        seen = []
+        real = svm.train_binary
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "train_binary", recorded)
+        x, labels = blob_data(n_per_class=8)
+        run_protocol(
+            x, labels, n_splits=2, seed=3, c_grid=np.array([0.1, 1.0]),
+            n_resample=2, tol=0.02,
+        )
+        # per split: |C| x halves x one pair in model selection, then one machine
+        assert len(seen) == 2 * (2 * 2 + 1)
+        assert seen == [0.02] * len(seen)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from scenehog import (
     write_pgm,
 )
 from scenehog import pipeline
+from scenehog import cli
 from scenehog.cli import main
 from scenehog.errors import ConfigError
 from scenehog.tfr import cqt, mean_filter, to_image
@@ -60,6 +62,17 @@ class TestRunConfig:
         for kw in bad:
             with pytest.raises(ConfigError):
                 RunConfig(**kw).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "key",
+        ["clip_tau", "db_floor", "f_min_hz", "train_frac", "eps_norm", "noise_sigma", "seg_seconds"],
+    )
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(RunConfig(), **{key: value}).validate()
 
     def test_f_max_capped_to_clip_nyquist(self):
         cfg = small_config()
@@ -406,6 +419,25 @@ class TestCli:
         )
         assert rc == 2
         assert "threads" in err
+
+    def test_thread_count_checked_before_decoding(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        rc, _, _ = run_cli(capsys, "toygen", "--set", "n_per_class=2", "--out", data)
+        assert rc == 0
+        decoded = []
+        real = cli.read_wav
+
+        def counted(*args, **kwargs):
+            decoded.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_wav", counted)
+        rc, _, err = run_cli(
+            capsys, "extract", "--threads", 0, "--data", data, "--out", tmp_path / "x.features",
+        )
+        assert rc == 2
+        assert "threads" in err
+        assert decoded == []
 
     def test_data_error_exit_code(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace

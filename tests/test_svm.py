@@ -208,6 +208,61 @@ class TestBinarySvm:
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
             assert it == want_it
 
+    def test_both_solver_loops_bit_identical_to_oracle(self):
+        """Sizes on both sides of SMALL_N, so the list loop and the NumPy
+        loop each reproduce the oracle's alpha bits, bias bits and
+        iteration count."""
+        small = svm_module.SMALL_N
+        rng = np.random.default_rng(7)
+        sizes = [2, 3, small - 1, small, small + 1, 2 * small]
+        sizes += [int(v) for v in rng.integers(2, 2 * small + 1, 14)]
+        for trial, n in enumerate(sizes * 2):
+            x = rng.standard_normal((n, int(rng.integers(1, 6))))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            y[:2] = (-1.0, 1.0)
+            c = float(10.0 ** rng.uniform(-3.0, 2.0))
+            spec = (
+                KernelSpec("linear") if trial < len(sizes)
+                else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
+            )
+            k = kernel_matrix(x, x, spec)
+            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
+            want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
+            assert alpha.tobytes() == want_alpha.tobytes(), (n, spec.kind)
+            assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+            assert it == want_it
+
+    @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
+    def test_stalled_solve_raises(self, monkeypatch, small_n):
+        """The first step of this problem rounds below atol, so alpha
+        cannot move while the gap m - M is 2; both loops say so."""
+        monkeypatch.setattr(svm_module, "SMALL_N", small_n)
+        k = np.diag([1e20, 1e20])
+        y = np.array([1.0, -1.0])
+        with pytest.raises(TrainingError, match="pinned at the box.*gap m - M = 2"):
+            svm_module._smo(k, y, 1.0, 1e-3, 10**6)
+        with pytest.raises(TrainingError, match="tolerance"):
+            train_binary(np.zeros((2, 1)), y, 1.0, KernelSpec("linear"), gram=k)
+
+    @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
+    def test_iteration_cap_reports_gap(self, monkeypatch, small_n):
+        monkeypatch.setattr(svm_module, "SMALL_N", small_n)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((30, 3))
+        y = np.where(x[:, 0] > 0, 1.0, -1.0)
+        k = kernel_matrix(x, x, KernelSpec("linear"))
+        with pytest.raises(TrainingError, match=r"1 iterations \(gap m - M = "):
+            svm_module._smo(k, y, 10.0, 1e-3, 1)
+
+    def test_support_vectors_own_their_rows(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 3))
+        y = np.where(x[:, 0] > 0, 1.0, -1.0)
+        machine = train_binary(x, y, 1.0, KernelSpec("linear"))
+        assert machine.support_vectors.flags.owndata
+        assert not np.shares_memory(machine.support_vectors, x)
+        np.testing.assert_array_equal(machine.support_vectors, x[machine.support])
+
     def test_given_gram_is_bit_identical(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((15, 4))
