@@ -178,8 +178,8 @@ class RunConfig:
             values = np.asarray([float(v) for v in self.c_grid.split(",")])
         except ValueError as exc:
             raise ConfigError(f"bad c_grid {self.c_grid!r}") from exc
-        if values.size == 0 or np.any(values <= 0):
-            raise ConfigError("c_grid values must be positive")
+        if values.size == 0 or not all(0 < v < math.inf for v in values):
+            raise ConfigError("c_grid values must be positive and finite")
         return values
 
     def sigma_grid_values(self) -> tuple[float, ...]:
@@ -187,8 +187,8 @@ class RunConfig:
             values = tuple(float(v) for v in self.sigma_grid.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad sigma_grid {self.sigma_grid!r}") from exc
-        if not values or any(v <= 0 for v in values):
-            raise ConfigError("sigma_grid values must be positive")
+        if not values or not all(0 < v < math.inf for v in values):
+            raise ConfigError("sigma_grid values must be positive and finite")
         return values
 
     # -- serialisation ----------------------------------------------------

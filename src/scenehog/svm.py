@@ -15,6 +15,18 @@ against one with majority voting.  Model selection computes each pair's
 training Gram and its kernel block against the validation half once
 per (half, sigma) and reuses both across the whole C grid.
 
+Every solve also returns a certificate of what it compared against C:
+the largest alpha it held, the smallest value it compared above atol,
+and whether a C-dependent bound (a clip at C, C + a_j - a_i or
+a_i + a_j - C, or the snap to C) was taken.  When no bound was taken
+and every alpha stayed below C - atol, the solve never saw C except
+through comparisons whose outcome the certificate fixes, so the same
+problem at a larger C follows the same steps to the same bits (the
+regularisation path is flat in C while no multiplier sits at the box).
+train_binary(prior=) checks that at the new C and then returns the
+prior's solution without solving; model selection walks each pair's C
+values in ascending order to use it.
+
 The dual problem solved for each binary machine is
 
     max  sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K(x_i, x_j)
@@ -23,9 +35,12 @@ The dual problem solved for each binary machine is
 
 from __future__ import annotations
 
+import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +83,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "gaussian"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
+        if not math.isfinite(self.sigma):
+            raise ConfigError(f"kernel sigma must be finite, got {self.sigma}")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ConfigError("gaussian kernel needs sigma > 0")
 
@@ -139,6 +156,8 @@ class BinarySvm:
     bias             intercept; decision f(x) = sum alpha_signed K(sv, x) + bias
     support          row indices of the support vectors in the training set;
                      None when unknown, as for a machine read from a model file
+    solve            the record of the SMO solve behind the machine, which
+                     train_binary(prior=) reads; None when unknown
     """
 
     support_vectors: np.ndarray
@@ -147,6 +166,7 @@ class BinarySvm:
     kernel: KernelSpec
     c: float
     support: np.ndarray | None = None
+    solve: _Solve | None = field(default=None, repr=False, compare=False)
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -164,6 +184,49 @@ class BinarySvm:
 SMALL_N = 48
 
 
+def _atol(c: float) -> float:
+    """Distance within which a multiplier counts as sitting on a bound."""
+    return 1e-12 * max(c, 1.0)
+
+
+class _Solve(NamedTuple):
+    """What an SMO solve ran on, and its certificate (see _smo).
+
+    gram and rows are weak references to the kernel matrix and the
+    feature rows, so a machine does not keep them alive; labels holds
+    the bytes of y.
+    """
+
+    gram: weakref.ref
+    rows: weakref.ref
+    labels: bytes
+    tol: float
+    max_iter: int
+    iterations: int
+    amax: float
+    amin: float
+    bound: bool
+
+    def holds_at(self, c_prior: float, c: float) -> bool:
+        """Whether every comparison the solve made at c_prior against C,
+        C - atol or atol has the same outcome at c.
+
+        No C-dependent bound was taken, every alpha stayed below
+        C - atol at both costs, and atol either did not change or grew
+        while staying below every value compared above it.  A value
+        compared at or below a larger atol may lie above a smaller one,
+        and the certificate does not record those values, so a solve is
+        not carried to a cost whose atol is smaller.
+        """
+        atol_prior, atol = _atol(c_prior), _atol(c)
+        return (
+            not self.bound
+            and self.amax < c_prior - atol_prior
+            and self.amax < c - atol
+            and (atol == atol_prior or atol_prior < atol < self.amin)
+        )
+
+
 def _not_converged(tol: float, gap: float, why: str) -> TrainingError:
     return TrainingError(f"solver did not reach tolerance {tol}: {why} (gap m - M = {gap:.6g})")
 
@@ -171,40 +234,84 @@ def _not_converged(tol: float, gap: float, why: str) -> TrainingError:
 def _pair_step(
     y_i: float, y_j: float, a_i: float, a_j: float, f_i: float, f_j: float,
     k_ii: float, k_jj: float, k_ij: float, c: float, tol: float, atol: float,
-) -> tuple[float, float]:
-    """(delta_i, delta_j) of one SMO step on the working pair (i, j).
+    cert: list,
+) -> tuple[float, float, float, float]:
+    """(delta_i, delta_j, new alpha_i, new alpha_j) of one SMO step on
+    the working pair (i, j).
 
     Clips alpha_j to the segment the box and the equality constraint
     leave it, and snaps values within atol of a bound onto the bound.
     Raises TrainingError when the step rounds to nothing: the caller
     only steps while m - M = f_i - f_j > tol, so a pinned pair leaves
-    the solve short of tolerance.
+    the solve short of tolerance.  Records the step in the certificate
+    cert = [amax, amin, bound] of _smo.
     """
     sign = y_i * y_j
+    # lo_c and hi_c are the C-dependent ends of the segment
     if sign < 0:
         lo = max(0.0, a_j - a_i)
-        hi = min(c, c + a_j - a_i)
+        hi = hi_c = min(c, c + a_j - a_i)
+        lo_c = -math.inf
     else:
-        lo = max(0.0, a_i + a_j - c)
+        lo_c = a_i + a_j - c
+        lo = max(0.0, lo_c)
         hi = min(c, a_i + a_j)
+        hi_c = c
     eta = max(k_ii + k_jj - 2.0 * k_ij, 1e-12)
     # -f is the bias-free prediction error, so this is the classic
     # Platt step for the second variable.
     new_j = a_j + y_j * (f_j - f_i) / eta
     new_j = min(max(new_j, lo), hi)
+    bound = lo_c >= new_j or hi_c <= new_j
     if new_j < atol:
         new_j = 0.0
     elif new_j > c - atol:
         new_j = c
+        bound = True
+    elif new_j < cert[1]:
+        cert[1] = new_j
     delta_j = new_j - a_j
     if delta_j == 0.0:
         raise _not_converged(tol, f_i - f_j, "the working pair is pinned at the box")
-    return -sign * delta_j, delta_j
+    delta_i = -sign * delta_j
+    new_i, new_j = a_i + delta_i, a_j + delta_j
+    for a_t in (new_i, new_j):
+        if a_t > cert[0]:
+            cert[0] = a_t
+        if atol < a_t < cert[1]:
+            cert[1] = a_t
+    if bound:
+        cert[2] = True
+    return delta_i, delta_j, new_i, new_j
+
+
+def _bias(f: list, up: list, low: list) -> float:
+    """Bias from the free support vectors (free to move both ways);
+    midpoint of the violation bracket when every multiplier sits at a
+    box bound.
+
+    The mean of the free values equals np.mean's bit for bit: below 8
+    values numpy adds them left to right onto 0.0, which the loop
+    repeats (0.0 + v also turns a lone -0.0 into 0.0, as np.mean does);
+    from 8 values on numpy sums pairwise, so np.mean itself runs.
+    """
+    free = [f_t for f_t, u, l in zip(f, up, low) if u and l]
+    if len(free) >= 8:
+        return float(np.mean(free))
+    if free:
+        total = 0.0
+        for f_t in free:
+            total += f_t
+        return total / len(free)
+    f, up, low = np.asarray(f, dtype=np.float64), np.asarray(up, bool), np.asarray(low, bool)
+    hi = f[up].max() if up.any() else 0.0
+    lo = f[low].min() if low.any() else 0.0
+    return float((hi + lo) / 2.0)
 
 
 def _smo(
     k: np.ndarray, y: np.ndarray, c: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, tuple[float, float, bool]]:
     """Core solver on a precomputed kernel matrix.
 
     Works on the violation vector f = -y g, where g = Q alpha - 1 is the
@@ -222,12 +329,24 @@ def _smo(
     arg-extremes are forward scans with strict comparisons (lowest index
     on ties) and f is updated as f[t] - (a K[i, t] + b K[j, t]); above
     it they are NumPy arrays.  Both evaluate the same IEEE operations in
-    the same order, so they return the same bits.  Returns (alpha, bias,
-    iterations).
+    the same order, so they return the same bits.
+
+    Returns (alpha, bias, iterations, certificate).  The certificate
+    (amax, amin, bound) covers every comparison the solve makes against
+    C, C - atol or atol, atol = 1e-12 max(C, 1); everything else it
+    computes is independent of C.  amax is the largest alpha it held,
+    starting from 0.0, which also covers the opening test 0 < C - atol.
+    amin is the smallest value it compared above atol: a clamped alpha_j
+    that was not snapped, or an alpha above atol in a mask update (inf
+    if none).  bound says whether a step clipped alpha_j at a C-dependent
+    end of its segment (C, C + a_j - a_i or a_i + a_j - C) or snapped it
+    to C.  _Solve.holds_at turns these into the test for reusing the
+    solve at another C.
     """
     n = y.size
-    atol = 1e-12 * max(c, 1.0)
+    atol = _atol(c)
     top = c - atol
+    cert = [0.0, math.inf, False]
     ys = y.tolist()
     pos = [v > 0 for v in ys]
     alpha = [0.0] * n
@@ -256,12 +375,10 @@ def _smo(
                 raise _not_converged(tol, f_i - f_j, f"{max_iter} iterations")
             it += 1
             k_i, k_j = rows[i], rows[j]
-            d_i, d_j = _pair_step(
+            d_i, d_j, alpha[i], alpha[j] = _pair_step(
                 ys[i], ys[j], alpha[i], alpha[j], f_i, f_j,
-                k_i[i], k_j[j], k_i[j], c, tol, atol,
+                k_i[i], k_j[j], k_i[j], c, tol, atol, cert,
             )
-            alpha[i] += d_i
-            alpha[j] += d_j
             a, b = ys[i] * d_i, ys[j] * d_j
             f = [f_t - (a * k_it + b * k_jt) for f_t, k_it, k_jt in zip(f, k_i, k_j)]
             for t in (i, j):
@@ -282,30 +399,18 @@ def _smo(
             if it >= max_iter:
                 raise _not_converged(tol, f_i - f_j, f"{max_iter} iterations")
             it += 1
-            d_i, d_j = _pair_step(
+            d_i, d_j, alpha[i], alpha[j] = _pair_step(
                 ys[i], ys[j], float(alpha[i]), float(alpha[j]), f_i, f_j,
-                float(k[i, i]), float(k[j, j]), float(k[i, j]), c, tol, atol,
+                float(k[i, i]), float(k[j, j]), float(k[i, j]), c, tol, atol, cert,
             )
-            alpha[i] += d_i
-            alpha[j] += d_j
             f -= ys[i] * d_i * k[i] + ys[j] * d_j * k[j]
             for t in (i, j):
                 a_t = alpha[t]
                 up[t] = a_t < top if pos[t] else a_t > atol
                 low[t] = a_t > atol if pos[t] else a_t < top
+        f, up, low = f.tolist(), up.tolist(), low.tolist()
 
-    # Bias from the free support vectors (free to move both ways);
-    # midpoint of the violation bracket when every multiplier sits at a
-    # box bound.
-    f, up, low = np.asarray(f, dtype=np.float64), np.asarray(up), np.asarray(low)
-    free = up & low
-    if free.any():
-        bias = float(np.mean(f[free]))
-    else:
-        hi = f[up].max() if up.any() else 0.0
-        lo = f[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
-    return np.asarray(alpha, dtype=np.float64), bias, it
+    return np.asarray(alpha, dtype=np.float64), _bias(f, up, low), it, tuple(cert)
 
 
 def train_binary(
@@ -317,6 +422,7 @@ def train_binary(
     tol: float = 1e-3,
     max_iter: int = 0,
     gram: np.ndarray | None = None,
+    prior: BinarySvm | None = None,
 ) -> BinarySvm:
     """Train one soft margin machine on labels in {-1, +1}.
 
@@ -324,6 +430,17 @@ def train_binary(
     that trains several machines on the same rows passes it as gram,
     which must equal kernel_matrix(x, x, kernel).  max_iter of 0 picks
     a generous default proportional to the training size.
+
+    prior is a machine this function trained at another C on the same,
+    unmodified gram and x objects, with the same labels, kernel, tol and
+    max_iter.  Once every check on the arguments has passed, if the
+    prior's solve certificate holds at c (_Solve.holds_at: no
+    C-dependent bound taken, every alpha below C - atol at both costs,
+    and atol unchanged or still below every value compared above it),
+    the solve at c would take the same steps to the same bits, so the
+    returned machine shares the prior's alpha, bias and support vectors
+    (made read-only) with c as its cost, and _smo does not run.  Any
+    other prior is ignored and the machine is solved afresh.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -335,8 +452,8 @@ def train_binary(
         raise TrainingError("labels must be -1 or +1")
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("training set contains a single class")
-    if c <= 0:
-        raise ConfigError(f"C must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ConfigError(f"C must be positive and finite, got {c}")
     if max_iter <= 0:
         max_iter = max(100_000, 1_000 * y.size)
 
@@ -346,10 +463,27 @@ def train_binary(
         k = np.asarray(gram, dtype=np.float64)
         if k.shape != (y.size, y.size):
             raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
-    alpha, bias, _ = _smo(k, y, c, tol, max_iter)
+    labels = y.tobytes()
+    solve = None if prior is None else prior.solve
+    if (
+        solve is not None
+        and solve.gram() is k
+        and solve.rows() is x
+        and solve.labels == labels
+        and solve.tol == tol
+        and solve.max_iter == max_iter
+        and prior.kernel == kernel
+        and solve.holds_at(prior.c, c)
+    ):
+        for shared in (prior.support_vectors, prior.alpha_signed, prior.support):
+            shared.flags.writeable = False
+        return BinarySvm(
+            prior.support_vectors, prior.alpha_signed, prior.bias, kernel, c,
+            prior.support, solve,
+        )
 
-    atol = 1e-12 * max(c, 1.0)
-    sv = alpha > atol
+    alpha, bias, it, cert = _smo(k, y, c, tol, max_iter)
+    sv = alpha > _atol(c)
     return BinarySvm(
         support_vectors=x[sv],
         alpha_signed=(alpha * y)[sv],
@@ -357,6 +491,7 @@ def train_binary(
         kernel=kernel,
         c=c,
         support=np.flatnonzero(sv),
+        solve=_Solve(weakref.ref(k), weakref.ref(x), labels, tol, max_iter, it, *cert),
     )
 
 
@@ -424,12 +559,18 @@ def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> n
     lower class index.
     """
     n = values.shape[1]
-    ends = np.asarray(pairs, dtype=np.intp).reshape(-1)  # a0, b0, a1, b1, ...
-    pick_a = values >= 0
-    votes = np.zeros((n_classes, n), dtype=np.int64)
-    weight = np.zeros((n_classes, n))
-    np.add.at(votes, ends, np.stack([pick_a, ~pick_a], axis=1).reshape(-1, n))
-    np.add.at(weight, ends, np.repeat(np.abs(values), 2, axis=0))
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    cols = np.arange(n)
+    # flat (class, column) bins; bincount adds in input order, so each
+    # bin's weights are summed in the order of pairs
+    winner = np.where(values >= 0, ends[:, :1], ends[:, 1:])
+    votes = np.bincount((winner * n + cols).ravel(), minlength=n_classes * n)
+    bins = ends.reshape(-1, 1) * n + cols  # rows a0, b0, a1, b1, ...
+    weight = np.bincount(
+        bins.ravel(), weights=np.repeat(np.abs(values), 2, axis=0).ravel(),
+        minlength=n_classes * n,
+    )
+    votes, weight = votes.reshape(n_classes, n), weight.reshape(n_classes, n)
     heavy = np.where(votes == votes.max(axis=0), weight, -1.0)
     return (heavy == heavy.max(axis=0)).argmax(axis=0)
 
@@ -540,7 +681,10 @@ def model_select(
     # Every candidate trains the same pair machines on the same rows, so
     # each pair's training Gram and its kernel block against the
     # validation half are computed once per half and sigma and shared by
-    # the whole C grid.
+    # the whole C grid.  The grid is walked in ascending C so each
+    # machine can take over the solve at the C below it (train_binary's
+    # prior); a machine that did keeps that solve's decision values.
+    c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
     pairs = [(a, b) for a in range(len(classes)) for b in range(a + 1, len(classes))]
     names = np.asarray(classes)
     totals = np.zeros((len(c_values), len(sigmas)))
@@ -557,9 +701,16 @@ def model_select(
                 xr = x_learn[rows]
                 gram = kernel_matrix(xr, xr, spec)
                 cross = kernel_matrix(xr, x_val, spec)
-                for ci, c in enumerate(c_values):
-                    machine = train_binary(xr, y, c, spec, tol=tol, gram=gram)
-                    values[ci, p] = machine.alpha_signed @ cross[machine.support] + machine.bias
+                machine = last = None
+                for ci in c_order:
+                    prior, machine = machine, train_binary(
+                        xr, y, c_values[ci], spec, tol=tol, gram=gram, prior=machine
+                    )
+                    if prior is not None and machine.alpha_signed is prior.alpha_signed:
+                        values[ci, p] = values[last, p]
+                    else:
+                        values[ci, p] = machine.alpha_signed @ cross[machine.support] + machine.bias
+                    last = ci
             for ci in range(len(c_values)):
                 pred = names[_vote(values[ci], pairs, len(classes))]
                 totals[ci, si] += map_score(val_labels, pred, classes=classes)

@@ -327,6 +327,27 @@ def model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, n_resample, 
     return best
 
 
+def vote_oracle(values, pairs, n_classes):
+    """Winning class per column of values (one row per pair (a, b)) by
+    a plain loop: a vote for a when the value is >= 0 and for b
+    otherwise, |value| added to both a and b in the order of pairs;
+    most votes win, then the larger weight, then the lower index."""
+    winners = []
+    for col in range(values.shape[1]):
+        votes = [0] * n_classes
+        weight = [0.0] * n_classes
+        for (a, b), v in zip(pairs, values[:, col].tolist()):
+            votes[a if v >= 0 else b] += 1
+            weight[a] += abs(v)
+            weight[b] += abs(v)
+        top = max(votes)
+        best = max(w for w, n in zip(weight, votes) if n == top)
+        winners.append(
+            next(k for k in range(n_classes) if votes[k] == top and weight[k] == best)
+        )
+    return winners
+
+
 def wilcoxon_oracle(a, b):
     """(statistic, exact two sided p) by enumerating all sign patterns."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)

@@ -74,6 +74,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=key):
             dataclasses.replace(RunConfig(), **{key: value}).validate()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1,nan", "2,inf,3"])
+    @pytest.mark.parametrize("key", ["c_grid", "sigma_grid"])
+    def test_non_finite_grids_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} values must be positive and finite"):
+            RunConfig(**{key: value}).validate()
+
     def test_f_max_capped_to_clip_nyquist(self):
         cfg = small_config()
         clips = generate_toy(cfg)
@@ -351,6 +357,21 @@ class TestCli:
         manifests = sorted((root / "splits").glob("split_*.txt"))
         assert len(manifests) == 3
         assert (root / "confusion.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+
+    @pytest.mark.parametrize(
+        "sets", [("c_grid=nan",), ("c_grid=inf",),
+                 ("kernel=gaussian", "sigma_grid=nan"), ("kernel=gaussian", "sigma_grid=inf")],
+    )
+    def test_experiment_refuses_non_finite_grid(self, toy_workspace, capsys, sets):
+        root, cfg_file = toy_workspace
+        overrides = [arg for pair in sets for arg in ("--set", pair)]
+        rc, _, err = run_cli(
+            capsys, "experiment", "--config", cfg_file, "--features", root / "toy.features",
+            "--report", root / "refused.txt", *overrides,
+        )
+        assert rc == 2
+        assert "must be positive and finite" in err
+        assert not (root / "refused.txt").exists()
 
     def test_compare_identical_reports_degenerate(self, toy_workspace, capsys):
         root, _ = toy_workspace

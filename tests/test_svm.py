@@ -19,6 +19,7 @@ from scenehog.errors import ConfigError, FormatError, TrainingError
 
 from oracles import (
     model_select_oracle,
+    vote_oracle,
     smo_oracle,
     svm_dual_enumerate,
     svm_dual_objective,
@@ -73,6 +74,12 @@ class TestKernelMatrix:
             KernelSpec("poly")
         with pytest.raises(ConfigError):
             KernelSpec("gaussian", sigma=0.0)
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigma_rejected(self, kind, sigma):
+        with pytest.raises(ConfigError, match="finite"):
+            KernelSpec(kind, sigma=sigma)
 
 
 class TestStandardizer:
@@ -202,7 +209,7 @@ class TestBinarySvm:
                 else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
             )
             k = kernel_matrix(x, x, spec)
-            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
+            alpha, bias, it, _ = svm_module._smo(k, y, c, 1e-3, 10**6)
             want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
             assert alpha.tobytes() == want_alpha.tobytes()
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
@@ -226,7 +233,7 @@ class TestBinarySvm:
                 else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
             )
             k = kernel_matrix(x, x, spec)
-            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
+            alpha, bias, it, _ = svm_module._smo(k, y, c, 1e-3, 10**6)
             want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
             assert alpha.tobytes() == want_alpha.tobytes(), (n, spec.kind)
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
@@ -277,6 +284,38 @@ class TestBinarySvm:
             np.testing.assert_array_equal(given.support, plain.support)
             np.testing.assert_array_equal(x[given.support], given.support_vectors)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_c_rejected(self, c):
+        x = np.array([[0.0], [1.0]])
+        with pytest.raises(ConfigError, match="finite"):
+            train_binary(x, np.array([-1.0, 1.0]), c, KernelSpec("linear"))
+
+    def test_bias_mean_bit_identical_to_numpy(self):
+        """The bias tail averages the free values as np.mean does, bit
+        for bit, at every count, signed zeros included."""
+        rng = np.random.default_rng(8)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e200, -1e200]
+        for count in range(1, 12):
+            for trial in range(200):
+                if trial % 4 == 0:
+                    free = rng.choice(specials, count)
+                elif trial % 4 == 1:
+                    free = np.full(count, rng.choice([0.0, -0.0]))
+                elif trial % 4 == 2:
+                    free = rng.standard_normal(count) * 10.0 ** rng.uniform(-20, 20, count)
+                else:
+                    free = rng.standard_normal(count)
+                # bound entries are free in one direction only and drop out
+                f = np.concatenate([free, rng.standard_normal(3)])
+                up = [True] * count + [True, False, False]
+                low = [True] * count + [False, True, False]
+                order = rng.permutation(f.size)
+                got = svm_module._bias(
+                    f[order].tolist(), [up[t] for t in order], [low[t] for t in order]
+                )
+                want = np.mean(f[order][np.asarray(up)[order] & np.asarray(low)[order]])
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (count, free)
+
     def test_gram_of_wrong_shape_rejected(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([-1.0, 1.0, 1.0])
@@ -306,6 +345,178 @@ def four_blobs(n=8, seed=42):
         xs.append(rng.normal(center, 0.9, (n, 2)))
         labels += [name] * n
     return np.vstack(xs), np.asarray(labels)
+
+
+def separable(rng, n):
+    """n rows labelled by a random hyperplane, both classes present."""
+    while True:
+        x = rng.standard_normal((n, int(rng.integers(1, 5))))
+        y = np.where(x @ rng.standard_normal(x.shape[1]) > 0, 1.0, -1.0)
+        if abs(y.sum()) < n:
+            return x, y
+
+
+def solve_or_none(*args, **kwargs):
+    try:
+        return train_binary(*args, **kwargs)
+    except TrainingError:
+        return None
+
+
+def assert_same_solve(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.alpha_signed.tobytes() == want.alpha_signed.tobytes()
+        assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+        np.testing.assert_array_equal(got.support, want.support)
+        assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
+        assert got.solve.iterations == want.solve.iterations
+        assert got.c == want.c
+
+
+def atol_of(c):
+    return 1e-12 * max(c, 1.0)
+
+
+# costs around 1, around the bounds' atol floor and around 0 < C - atol
+EDGE_COSTS = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e-13, 5e-13, 1e-12, 2e-12, 1e-3, 0.1, 10.0, 1e3]
+
+
+class TestSolveReuse:
+    @pytest.mark.parametrize(
+        "sizes, trials", [((2, 25), 24), ((svm_module.SMALL_N + 1, svm_module.SMALL_N + 13), 6)],
+        ids=["lists", "arrays"],
+    )
+    def test_reused_machine_equals_fresh_solve(self, sizes, trials):
+        """Walking ascending, shuffled and duplicated grids with each
+        machine as the next one's prior gives, at every C, the bits of a
+        fresh solve (or the same TrainingError); the grids hold costs at
+        the hard-margin largest alpha x (1 +- 1e-9, 1 +- 1e-15)."""
+        rng = np.random.default_rng(11)
+        reused = 0
+        for trial in range(trials):
+            x, y = separable(rng, int(rng.integers(*sizes)))
+            spec = (
+                KernelSpec("linear") if trial % 2
+                else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
+            )
+            gram = kernel_matrix(x, x, spec)
+            amax = train_binary(x, y, 1e6, spec, gram=gram).solve.amax
+            grid = EDGE_COSTS + [amax * f for f in (1 - 1e-9, 1 + 1e-9, 1 - 1e-15, 1 + 1e-15, 1.0)]
+            for walk in (sorted(grid), list(rng.permutation(grid)), sorted(grid + grid[::3])):
+                prior = None
+                for c in walk:
+                    want = solve_or_none(x, y, c, spec, gram=gram)
+                    got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
+                    assert_same_solve(got, want)
+                    if got is not None:
+                        if prior is not None and got.alpha_signed is prior.alpha_signed:
+                            reused += 1
+                            assert not got.alpha_signed.flags.writeable
+                        prior = got
+        assert reused >= 2 * trials, reused
+
+    def test_atol_band_blocks_reuse(self):
+        """Multipliers near 1e-10 sit on either side of atol = 1e-12
+        max(C, 1) as C moves.  A prior is reused only while every value
+        it compared above atol stays above it, and never at a C whose
+        atol is smaller: a value it snapped to 0 below its own atol may
+        lie above the smaller one."""
+        rng = np.random.default_rng(5)
+        ascending = descending = 0
+        for trial in range(30):
+            x, y = separable(rng, int(rng.integers(3, 12)))
+            spec = KernelSpec("linear")
+            gram = kernel_matrix(x, x, spec) * 10.0 ** rng.uniform(8.0, 10.0)
+            for c_prior in (1.0, 300.0):
+                prior = solve_or_none(x, y, c_prior, spec, gram=gram)
+                if prior is None:
+                    continue
+                for c in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4):
+                    want = solve_or_none(x, y, c, spec, gram=gram)
+                    got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
+                    assert_same_solve(got, want)
+                    # count the cases where only the atol test stands
+                    # between the prior and a wrong answer
+                    cert = prior.solve
+                    if cert.bound or not cert.amax < min(c - atol_of(c), c_prior - atol_of(c_prior)):
+                        continue
+                    if want is None or want.alpha_signed.tobytes() != prior.alpha_signed.tobytes():
+                        ascending += c > c_prior
+                        descending += c < c_prior
+        assert ascending > 10 and descending > 10
+
+    def test_prior_without_room_is_not_reused(self):
+        """At C = 1e-13, C - atol < 0 and the solve stops at alpha = 0
+        without a step; that says nothing about C = 1."""
+        rng = np.random.default_rng(6)
+        x, y = separable(rng, 8)
+        spec = KernelSpec("linear")
+        gram = kernel_matrix(x, x, spec)
+        prior = train_binary(x, y, 1e-13, spec, gram=gram)
+        assert prior.solve.iterations == 0 and prior.alpha_signed.size == 0
+        got = train_binary(x, y, 1.0, spec, gram=gram, prior=prior)
+        assert_same_solve(got, train_binary(x, y, 1.0, spec, gram=gram))
+        assert got.alpha_signed.size > 0
+
+    @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
+    def test_certificate_records_c_dependent_bounds(self, monkeypatch, small_n):
+        """Two points, K = I: the hard-margin step sets both alphas to 1.
+        A clip at C, the snap onto C and a free step are told apart."""
+        monkeypatch.setattr(svm_module, "SMALL_N", small_n)
+        k, y = np.eye(2), np.array([1.0, -1.0])
+
+        def cert(c):
+            return svm_module._smo(k, y, c, 1e-3, 100)[3]
+
+        assert cert(2.0) == (1.0, 1.0, False)
+        assert cert(0.5)[2]                      # clipped at C
+        amax, _, bound = cert(1.0 + 1e-13)       # 1 is within atol of C: snapped
+        assert bound and amax == 1.0 + 1e-13
+        assert cert(1e-13) == (0.0, np.inf, False)
+
+    @pytest.mark.parametrize(
+        "y_i, y_j, a_i, a_j, bound",
+        [
+            (1.0, -1.0, 0.8, 0.3, True),    # clipped at C + a_j - a_i
+            (1.0, 1.0, 0.8, 0.7, True),     # clipped at a_i + a_j - C
+            (-1.0, -1.0, 0.2, 0.3, False),  # clipped at a_i + a_j
+            (-1.0, 1.0, 0.2, 0.5, False),   # clipped at a_j - a_i
+        ],
+    )
+    def test_pair_step_flags_only_c_dependent_clips(self, y_i, y_j, a_i, a_j, bound):
+        """C = 1, K = I, f_i - f_j = 2: the unclipped step moves alpha_j
+        by 1, past the end of its segment."""
+        cert = [0.0, np.inf, False]
+        d_i, d_j, new_i, new_j = svm_module._pair_step(
+            y_i, y_j, a_i, a_j, 1.0, -1.0, 1.0, 1.0, 0.0, 1.0, 1e-3, 1e-12, cert
+        )
+        assert cert[2] is bound
+        assert (new_i, new_j) == (a_i + d_i, a_j + d_j)
+        assert cert[0] == max(new_i, new_j)
+
+    def test_prior_from_another_problem_ignored(self):
+        rng = np.random.default_rng(9)
+        x, y = separable(rng, 10)
+        spec = KernelSpec("linear")
+        gram = kernel_matrix(x, x, spec)
+        prior = train_binary(x, y, 1e3, spec, gram=gram)
+        assert train_binary(x, y, 2e3, spec, gram=gram, prior=prior).alpha_signed is prior.alpha_signed
+        others = [
+            (x, y, dict(gram=gram.copy())),
+            (x, y, dict()),
+            (x, y, dict(gram=gram, tol=1e-4)),
+            (x, y, dict(gram=gram, max_iter=10**6)),
+            (x.copy(), y, dict(gram=gram)),
+            (x, -y, dict(gram=gram)),
+        ]
+        for rows, labels, kwargs in others:
+            got = train_binary(rows, labels, 2e3, spec, prior=prior, **kwargs)
+            assert got.alpha_signed is not prior.alpha_signed
+            assert_same_solve(got, train_binary(rows, labels, 2e3, spec, **kwargs))
+        other_spec = KernelSpec("gaussian", sigma=1.0)
+        got = train_binary(x, y, 2e3, other_spec, gram=gram, prior=prior)
+        assert got.alpha_signed is not prior.alpha_signed
 
 
 class TestOneVsOne:
@@ -368,6 +579,22 @@ class TestOneVsOne:
         probes = np.array([[1.0], [-1.0]])
         np.testing.assert_array_equal(predict(model, probes, standardized=True), ["p", "p"])
 
+    def test_vote_matches_pair_order_oracle(self):
+        """Votes and |decision| weights, summed in the order of pairs,
+        pick the same winners as a plain loop; values repeat so that
+        vote and weight ties are common."""
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n_classes = int(rng.integers(2, 7))
+            pairs = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            if trial % 2:
+                values = rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.3], (len(pairs), 9))
+            else:
+                values = rng.standard_normal((len(pairs), 9))
+            got = svm_module._vote(values, pairs, n_classes)
+            np.testing.assert_array_equal(got, vote_oracle(values, pairs, n_classes))
+
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
         with pytest.raises(TrainingError):
@@ -429,6 +656,21 @@ class TestModelSelect:
         )
         want = model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, 5, 5)
         assert got == want
+
+    @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid", [("linear", None), ("gaussian", (0.5, 2.0, 8.0))]
+    )
+    def test_shuffled_c_grid_matches_sorted_and_oracle(self, kernel_kind, sigma_grid):
+        x, labels = four_blobs()
+        c_grid = 10.0 ** np.linspace(-3.0, 2.0, 6)
+        shuffled = c_grid[[3, 0, 5, 1, 4, 2]]
+        got = model_select(
+            x, labels, kernel_kind, c_grid=shuffled, sigma_grid=sigma_grid, seed=5
+        )
+        assert got == model_select(
+            x, labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid, seed=5
+        )
+        assert got == model_select_oracle(x, labels, kernel_kind, shuffled, sigma_grid, 5, 5)
 
     @pytest.mark.parametrize(
         "kernel_kind, sigma_grid, n_sigma", [("linear", (1.0, 2.0), 1), ("gaussian", (1.0, 2.0), 2)]
