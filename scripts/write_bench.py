@@ -3,7 +3,10 @@
 Runs ``perfbench/run.py --workload all --seed 1 --trace 1`` from the
 repository root and writes its ``env`` line, the metric and check lines
 of each workload and its JSON result to the JSON file named on the
-command line.  Run from anywhere:
+command line.  ``src_uncommitted`` records whether ``src/`` differed
+from the commit named by the env line's ``git_sha`` when the run
+started (null outside a git checkout); ``src_sha256`` identifies the
+code either way.  Run from anywhere:
 
     python3 scripts/write_bench.py BENCH_<n>.json
 
@@ -52,10 +55,23 @@ def parse(stdout: str) -> dict:
     return bench
 
 
+def src_uncommitted(root: Path) -> bool | None:
+    """Whether src/ under root has changes git has not committed."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src"],
+            cwd=root, capture_output=True, text=True,
+        )
+    except OSError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: write_bench.py OUT.json", file=sys.stderr)
         return 2
+    uncommitted = src_uncommitted(ROOT)
     proc = subprocess.run(
         [sys.executable, *COMMAND], cwd=ROOT, capture_output=True, text=True
     )
@@ -64,7 +80,9 @@ def main(argv: list[str]) -> int:
         print(f"write_bench: benchmark exited {proc.returncode}", file=sys.stderr)
         return proc.returncode
     out = Path(argv[0])
-    out.write_text(json.dumps(parse(proc.stdout), indent=1) + "\n")
+    bench = parse(proc.stdout)
+    bench["src_uncommitted"] = uncommitted
+    out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"write_bench: {out}")
     return proc.returncode
 

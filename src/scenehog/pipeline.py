@@ -296,18 +296,17 @@ def extract_clip(
         "hog": lambda filtered: hog(filtered, cfg.hog_config()),
         "pool": lambda grid: pool(grid, pool_cfg),
     }
-    # every stage output stays referenced until the clip is done: freeing
-    # the 2 MB images between stages made the allocator hand pages back
-    # and fault them in again, ~35% slower on the 200-clip toy set
-    timing, outputs = {}, {}
+    timing = {}
     value = clip
     for name, stage in stages.items():
         t0 = time.perf_counter()
-        value = outputs[name] = stage(value)
+        value = stage(value)
         timing[name] = time.perf_counter() - t0
+        if name == "filter":
+            filtered = value
     if dump_images is not None:
         stem = clip.source_id.replace("/", "_")
-        write_pgm(Path(dump_images) / f"{stem}.pgm", outputs["filter"])
+        write_pgm(Path(dump_images) / f"{stem}.pgm", filtered)
     return value, timing
 
 

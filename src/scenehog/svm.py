@@ -433,8 +433,9 @@ def train_binary(
 
     prior is a machine this function trained at another C on the same,
     unmodified gram and x objects, with the same labels, kernel, tol and
-    max_iter.  Once every check on the arguments has passed, if the
-    prior's solve certificate holds at c (_Solve.holds_at: no
+    max_iter.  Those arguments were checked when the prior was solved,
+    so only c is checked again.  If c is valid and the prior's solve
+    certificate holds at it (_Solve.holds_at: no
     C-dependent bound taken, every alpha below C - atol at both costs,
     and atol unchanged or still below every value compared above it),
     the solve at c would take the same steps to the same bits, so the
@@ -444,6 +445,32 @@ def train_binary(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
+    k = None if gram is None else np.asarray(gram, dtype=np.float64)
+    labels = y.tobytes()
+    if max_iter <= 0:
+        max_iter = max(100_000, 1_000 * y.size)
+    # a prior solved afresh on these very gram and x objects and label
+    # bytes passed the checks below then, so only c is left to check
+    solve = None if prior is None else prior.solve
+    if (
+        solve is not None
+        and k is not None
+        and solve.gram() is k
+        and solve.rows() is x
+        and solve.labels == labels
+        and solve.tol == tol
+        and solve.max_iter == max_iter
+        and prior.kernel == kernel
+        and 0.0 < c < math.inf
+        and solve.holds_at(prior.c, c)
+    ):
+        for shared in (prior.support_vectors, prior.alpha_signed, prior.support):
+            shared.flags.writeable = False
+        return BinarySvm(
+            prior.support_vectors, prior.alpha_signed, prior.bias, kernel, c,
+            prior.support, solve,
+        )
+
     if x.shape[0] != y.size:
         raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
     n_pos = np.count_nonzero(y == 1.0)
@@ -454,33 +481,10 @@ def train_binary(
         raise TrainingError("training set contains a single class")
     if not 0.0 < c < math.inf:
         raise ConfigError(f"C must be positive and finite, got {c}")
-    if max_iter <= 0:
-        max_iter = max(100_000, 1_000 * y.size)
-
-    if gram is None:
+    if k is None:
         k = kernel_matrix(x, x, kernel)
-    else:
-        k = np.asarray(gram, dtype=np.float64)
-        if k.shape != (y.size, y.size):
-            raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
-    labels = y.tobytes()
-    solve = None if prior is None else prior.solve
-    if (
-        solve is not None
-        and solve.gram() is k
-        and solve.rows() is x
-        and solve.labels == labels
-        and solve.tol == tol
-        and solve.max_iter == max_iter
-        and prior.kernel == kernel
-        and solve.holds_at(prior.c, c)
-    ):
-        for shared in (prior.support_vectors, prior.alpha_signed, prior.support):
-            shared.flags.writeable = False
-        return BinarySvm(
-            prior.support_vectors, prior.alpha_signed, prior.bias, kernel, c,
-            prior.support, solve,
-        )
+    elif k.shape != (y.size, y.size):
+        raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
 
     alpha, bias, it, cert = _smo(k, y, c, tol, max_iter)
     sv = alpha > _atol(c)

@@ -9,11 +9,11 @@ later stages never see the sample rate, hop or clip length:
 Row 0 of the image is the lowest frequency bin, column 0 the earliest
 frame.
 
-The transform works one octave block of bins at a time: one frame
-matrix per block, as wide as the block's longest window, times one
+The transform works one octave block of bins at a time against one
 real kernel matrix holding the windowed cosines and sines of all its
 bins (the time-domain form of the constant-Q kernels of Brown and
-Puckette, 1992).  Kernels depend only on the frequency range, bins per
+Puckette, 1992), read straight from the padded signal without copying
+out frames.  Kernels depend only on the frequency range, bins per
 octave and sample rate, not on the hop or clip length, and are kept in
 a small read-only cache.
 """
@@ -94,12 +94,17 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
 
     Bins are processed in octave blocks [0, b), [b, 2b), ... of
     b = bins_per_octave bins (the last block may be partial).  Each
-    block cuts one frame matrix as wide as its longest window and
-    multiplies it by one real kernel matrix, giving the real and
-    imaginary parts of all its bins in a single GEMM.  The kernels
-    depend only on the frequency range, bins per octave and sample
-    rate, so they are built once per geometry and cached (the 8 most
-    recently used geometries are kept).
+    block has one real kernel matrix as long as its longest window,
+    giving the real and imaginary parts of all its bins at once.  No
+    frame matrix is built: the padded signal is viewed as rows of
+    hop_samples samples, so frame t is rows t, t + 1, ... laid end to
+    end, and the block's coefficients are the sum over i of the row
+    block starting at row i times the kernel's i-th hop-sized slice.
+    That is ceil(window / hop) GEMMs on views, where a frame matrix
+    would copy window / hop times the signal.  The kernels depend only
+    on the frequency range, bins per octave and sample rate, so they
+    are built once per geometry and cached (the 8 most recently used
+    geometries are kept).
     """
     fs = clip.sample_rate_hz
     nyquist = fs / 2.0
@@ -120,16 +125,27 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
 
     hop = cfg.hop_samples
     n_frames = n // hop + 1
+    # x is pad zeros, the clip, then pad + hop zeros.  Frame t of a block
+    # with an n_blk window starts at clip sample t * hop - n_blk // 2,
+    # which is x[off + t * hop] for off = pad - n_blk // 2.  Its
+    # q = ceil(n_blk / hop) rows of hop samples end by
+    # off + (n_frames + q - 1) * hop <= pad + n + ceil(n_blk / 2) + hop - 1,
+    # inside x for any hop.
     pad = n_max // 2 + 1
-    x = np.pad(clip.samples, (pad, pad + n_max))
-    centers = np.arange(n_frames) * hop
+    x = np.pad(clip.samples, (pad, pad + hop))
 
     out = np.empty((n_bins, n_frames), dtype=np.complex128)
     kernels = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, fs)
     for first, kernel in kernels:
         n_blk, nb = kernel.shape[0], kernel.shape[1] // 2
-        frames = sliding_window_view(x, n_blk)[centers - n_blk // 2 + pad]
-        coeffs = frames @ kernel
+        q = -(-n_blk // hop)
+        off = pad - n_blk // 2
+        rows = x[off:off + (n_frames + q - 1) * hop].reshape(-1, hop)
+        part = kernel[:hop]
+        coeffs = rows[:n_frames, :len(part)] @ part
+        for i in range(1, q):
+            part = kernel[i * hop:(i + 1) * hop]
+            coeffs += rows[i:i + n_frames, :len(part)] @ part
         out[first:first + nb].real = coeffs[:, :nb].T
         out[first:first + nb].imag = coeffs[:, nb:].T
     return out

@@ -518,6 +518,38 @@ class TestSolveReuse:
         got = train_binary(x, y, 2e3, other_spec, gram=gram, prior=prior)
         assert got.alpha_signed is not prior.alpha_signed
 
+    def test_reuse_checks_only_the_new_cost(self, monkeypatch):
+        """A matching prior's labels, rows and gram were checked when it
+        was solved, so reuse counts no labels; a fresh solve still runs
+        every check, and an invalid C is refused with or without a prior."""
+        rng = np.random.default_rng(12)
+        x, y = separable(rng, 10)
+        spec = KernelSpec("linear")
+        gram = kernel_matrix(x, x, spec)
+        prior = train_binary(x, y, 1e3, spec, gram=gram)
+        counted = []
+        real = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: counted.append(1) or real(a))
+        got = train_binary(x, y, 2e3, spec, gram=gram, prior=prior)
+        assert got.alpha_signed is prior.alpha_signed and counted == []
+        assert_same_solve(got, train_binary(x, y, 2e3, spec, gram=gram))
+        assert len(counted) == 2
+        for c in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="C must be"):
+                train_binary(x, y, c, spec, gram=gram, prior=prior)
+
+    def test_prior_without_gram_not_reused(self):
+        """A prior solved on its own kernel matrix holds a dead reference
+        to it, which never matches a call that passes no gram either."""
+        rng = np.random.default_rng(13)
+        x, y = separable(rng, 10)
+        spec = KernelSpec("linear")
+        prior = train_binary(x, y, 1e3, spec)
+        assert prior.solve.gram() is None
+        got = train_binary(x, y, 2e3, spec, prior=prior)
+        assert got.alpha_signed is not prior.alpha_signed
+        assert_same_solve(got, train_binary(x, y, 2e3, spec))
+
 
 class TestOneVsOne:
     def test_separable_three_class(self):

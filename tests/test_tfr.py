@@ -26,6 +26,14 @@ ORACLE_CASES = [
     (44100, 22050, dict(f_min_hz=200.0, f_max_hz=20000.0, bins_per_octave=24, hop_samples=256)),
 ]
 
+# hops of one sample, of exactly the second octave block's window, just
+# past the longest window, and longer than the clip (a single frame)
+_WINDOW = CqtConfig(**ORACLE_CFG).window_length
+HOP_CASES = [
+    (FS, 2000, {**ORACLE_CFG, "hop_samples": hop})
+    for hop in (1, _WINDOW(8, FS), _WINDOW(0, FS) + 1, 1999, 5000)
+]
+
 
 def tone_clip(freq, n=2000, fs=FS):
     t = np.arange(n) / fs
@@ -97,8 +105,9 @@ class TestCqtAgainstOracle:
                 assert abs(int(np.argmax(profile)) - k_true) <= 1, case
 
     @pytest.mark.parametrize(
-        "fs,n,geometry", ORACLE_CASES,
-        ids=[f"{fs}Hz-b{g['bins_per_octave']}" for fs, _, g in ORACLE_CASES],
+        "fs,n,geometry", ORACLE_CASES + HOP_CASES,
+        ids=[f"{fs}Hz-b{g['bins_per_octave']}" for fs, _, g in ORACLE_CASES]
+        + [f"hop{g['hop_samples']}" for _, _, g in HOP_CASES],
     )
     def test_complex_coefficients_match_oracle(self, fs, n, geometry):
         """Every coefficient, phase included, agrees with the per-frame
@@ -109,6 +118,7 @@ class TestCqtAgainstOracle:
         want = cqt_oracle(
             x, fs, cfg.f_min_hz, cfg.bins_per_octave, cfg.hop_samples, cfg.n_bins
         )
+        assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_energy_locality(self):
