@@ -52,10 +52,6 @@ class AudioClip:
             raise DataError("AudioClip.sample_rate_hz must be positive")
         self.sample_rate_hz = int(self.sample_rate_hz)
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 # ---------------------------------------------------------------------------
 # WAV container
@@ -218,26 +214,27 @@ def segment(clip: AudioClip, seg_seconds: float) -> list[AudioClip]:
 # ---------------------------------------------------------------------------
 
 
+# (label, a, b) of each class, "pos" sweeping upward and "neg" downward
+TOY_CHIRPS = (("pos", 1200.0, 0.0), ("neg", -1200.0, 2400.0))
+# seconds during which the chirp sounds, both ends included
+TOY_GATE_S = (0.4, 0.6)
+
+
 @dataclass
 class ToyConfig:
     """Parameters of the synthetic chirp dataset.
 
     Each clip is one second long:  s(t) = g(t) cos(2 pi (a t + b) t) + n(t)
-    where g is the indicator of [t1, t2] (both endpoints included) and
+    where g is the indicator of [0.4, 0.6] (both endpoints included) and
     n is white Gaussian noise of standard deviation noise_sigma.  The
-    "pos" class sweeps upward (a_pos, b_pos), the "neg" class downward
-    (a_neg, b_neg); with the default coefficients the two classes are
-    exact time reversed mirrors of each other in the noise free limit.
+    coefficients are fixed: the "pos" class sweeps upward (a, b) =
+    (1200, 0), the "neg" class downward (a, b) = (-1200, 2400), so the
+    two classes are exact time reversed mirrors of each other in the
+    noise free limit.
     """
 
     n_per_class: int = 100
     sample_rate_hz: int = 8000
-    a_pos: float = 1200.0
-    b_pos: float = 0.0
-    a_neg: float = -1200.0
-    b_neg: float = 2400.0
-    t1: float = 0.4
-    t2: float = 0.6
     noise_sigma: float = 0.4
     rng_seed: int = 0
 
@@ -246,8 +243,6 @@ class ToyConfig:
             raise ConfigError("n_per_class must be >= 1")
         if self.sample_rate_hz < 2:
             raise ConfigError("sample_rate_hz must be >= 2")
-        if not 0.0 <= self.t1 < self.t2 <= 1.0:
-            raise ConfigError(f"need 0 <= t1 < t2 <= 1, got ({self.t1}, {self.t2})")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
 
@@ -255,7 +250,7 @@ class ToyConfig:
 def _chirp(cfg: ToyConfig, a: float, b: float, clip_seed: int) -> np.ndarray:
     fs = cfg.sample_rate_hz
     t = np.arange(fs, dtype=np.float64) / fs
-    gate = (t >= cfg.t1) & (t <= cfg.t2)
+    gate = (t >= TOY_GATE_S[0]) & (t <= TOY_GATE_S[1])
     x = np.where(gate, np.cos(2.0 * np.pi * (a * t + b) * t), 0.0)
     if cfg.noise_sigma > 0:
         # Philox is a counter based generator, so per clip streams derived
@@ -269,16 +264,15 @@ def _chirp(cfg: ToyConfig, a: float, b: float, clip_seed: int) -> np.ndarray:
 def make_toy_dataset(cfg: ToyConfig) -> list[AudioClip]:
     """Generate 2 * n_per_class labelled clips ("pos" first, then "neg").
 
-    Clip i draws its noise from a Philox stream keyed by rng_seed XOR i,
-    with i the global clip index, so regeneration with the same config
-    is bit for bit reproducible clip by clip.
+    Clip i is the chirp of its class, (a, b) = (1200, 0) for "pos" and
+    (-1200, 2400) for "neg", gated to [0.4, 0.6] s, plus noise drawn
+    from a Philox stream keyed by rng_seed XOR i, with i the global clip
+    index, so regeneration with the same config is bit for bit
+    reproducible clip by clip.
     """
     clips = []
     for i in range(2 * cfg.n_per_class):
-        if i < cfg.n_per_class:
-            label, a, b = "pos", cfg.a_pos, cfg.b_pos
-        else:
-            label, a, b = "neg", cfg.a_neg, cfg.b_neg
+        label, a, b = TOY_CHIRPS[i // cfg.n_per_class]
         x = _chirp(cfg, a, b, cfg.rng_seed ^ i)
         clips.append(
             AudioClip(

@@ -5,8 +5,9 @@ synthetic benchmark as WAV files, `extract` turns a dataset directory
 into a feature file, `experiment` runs the repeated split evaluation
 on a feature file and `compare` tests two reports against each other.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 internal invariant failure.  All stdout tables are tab separated.
+Exit codes: 0 success, 2 configuration error, 3 data error (a missing
+or unusable path included), 4 internal invariant failure.  All stdout
+tables are tab separated.
 
 On glibc, main first sets the malloc policy of the process (hold_heap):
 freed extraction buffers stay in the heap for the next clip instead of
@@ -253,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"scenehog: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # an OSError names the path it could not open, read or write
         print(f"scenehog: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except AssertionError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from . import svm
 from .errors import ConfigError, DataError, FormatError, ProtocolError
 from .metrics import column_normalize, confusion_counts, map_score
-from .util import atomic_write_text, parallel_map, rng_from
+from .util import atomic_write_text, parallel_map, rng_from, split_by_class
 
 __all__ = [
     "EvalReport",
@@ -81,14 +81,7 @@ def stratified_split(
         raise ProtocolError(
             "classes too small to appear in both halves: " + ", ".join(bad)
         )
-    rng = rng_from(seed, split_index)
-    train, test = [], []
-    for k, name in enumerate(classes):
-        idx = np.flatnonzero(labels == name)
-        idx = idx[rng.permutation(idx.size)]
-        train.append(idx[: n_train[k]])
-        test.append(idx[n_train[k]:])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+    return split_by_class(labels, n_train, rng_from(seed, split_index))
 
 
 @dataclass

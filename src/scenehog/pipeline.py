@@ -33,6 +33,7 @@ from .evaluation import EvalReport, run_protocol
 from .hog import HogConfig, hog
 from .pooling import FeatureVector, PoolConfig, pool
 from .store import write_pgm
+from .svm import default_sigma_grid
 from .tfr import CqtConfig, cqt, mean_filter, to_image
 from .util import parallel_map
 
@@ -93,7 +94,7 @@ class RunConfig:
     # learning and evaluation
     kernel: str = "linear"
     c_grid: str = ""
-    sigma_grid: str = "1,5,10,20,50,100"
+    sigma_grid: str = ",".join(f"{s:g}" for s in default_sigma_grid())
     n_splits: int = 20
     train_frac: float = 0.8
     fixed_train_count: int = 0
@@ -207,12 +208,6 @@ class RunConfig:
         learning, evaluation and generation keys do not change it."""
         text = "".join(f"{k}={getattr(self, k)}\n" for k in _EXTRACTION_KEYS)
         return hashlib.sha256(text.encode()).hexdigest()[:40]
-
-    def with_overrides(self, pairs: list[str]) -> "RunConfig":
-        out = dataclasses.replace(self)
-        _apply_pairs(out, pairs, where="--set")
-        out.validate()
-        return out
 
 
 def _coerce(name: str, kind: type, raw: str):

@@ -105,9 +105,9 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
 class DatasetScan:
     """Result of scanning a class-per-subdirectory dataset root.
 
-    entries  (path, label, source_id) sorted by class then file name;
-             source ids are class prefixed so duplicate file names in
-             different classes stay distinct
+    entries  (path, label, source_id) sorted by class then file path;
+             source ids are the paths below the root, so duplicate file
+             names in different directories stay distinct
     skipped  count of non WAV files that were ignored
     """
 
@@ -120,7 +120,11 @@ class DatasetScan:
 
 
 def scan_dataset(root: str | Path) -> DatasetScan:
-    """Find <root>/<class>/*.wav; refuses roots with no usable audio."""
+    """Find <root>/<class>/**/*.wav; refuses roots with no usable audio.
+
+    A clip's source id is its path below root without the suffix, so
+    <root>/beach/x.wav is beach/x and <root>/beach/a/x.wav is beach/a/x.
+    """
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"{root}: not a directory")
@@ -129,7 +133,8 @@ def scan_dataset(root: str | Path) -> DatasetScan:
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         for item in sorted(p for p in sub.rglob("*") if p.is_file()):
             if item.suffix.lower() == ".wav":
-                entries.append((item, sub.name, f"{sub.name}/{item.stem}"))
+                source_id = item.relative_to(root).with_suffix("").as_posix()
+                entries.append((item, sub.name, source_id))
             else:
                 skipped += 1
     if not entries:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, TrainingError
 from .metrics import map_score
-from .util import atomic_write_bytes, rng_from
+from .util import atomic_write_bytes, rng_from, split_by_class
 
 __all__ = [
     "KernelSpec",
@@ -611,21 +611,6 @@ def default_sigma_grid() -> tuple[float, ...]:
     return (1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-def _halve_stratified(
-    labels: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices into equal halves per class; odd counts and single
-    example classes leave the extra example in the learning half."""
-    learn, val = [], []
-    for name in sorted(set(labels)):
-        idx = np.flatnonzero(labels == name)
-        idx = idx[rng.permutation(idx.size)]
-        cut = (idx.size + 1) // 2
-        learn.append(idx[:cut])
-        val.append(idx[cut:])
-    return np.sort(np.concatenate(learn)), np.sort(np.concatenate(val))
-
-
 def model_select(
     x: np.ndarray,
     labels: np.ndarray,
@@ -673,8 +658,11 @@ def model_select(
         key=lambda cs: (c_values[cs[0]], sigmas[cs[1]] or 0.0),
     )
 
+    # equal halves per class; an odd count leaves the extra example, and a
+    # single example class its only one, in the learning half
+    learn_counts = [(int(np.sum(labels == name)) + 1) // 2 for name in classes]
     halves = [
-        _halve_stratified(labels, rng_from(seed, r)) for r in range(n_resample)
+        split_by_class(labels, learn_counts, rng_from(seed, r)) for r in range(n_resample)
     ]
     # validation halves may be empty when every class has one example
     halves = [(le, va) for le, va in halves if va.size > 0]

@@ -252,24 +252,15 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows @ img @ cols.T
 
 
-def to_image(
-    mag: np.ndarray,
-    size: int = 512,
-    db_floor: float = -80.0,
-    *,
-    eps_mag: float = 1e-10,
-    db_scale: bool = True,
-    meta: dict | None = None,
-) -> TfrImage:
+def to_image(mag: np.ndarray, size: int = 512, db_floor: float = -80.0) -> TfrImage:
     """Convert a magnitude matrix to a size x size image in [0, 1].
 
-    The magnitude is compressed to log power L = 20 log10(mag + eps_mag),
+    The magnitude is compressed to log power L = 20 log10(mag + 1e-10),
     clamped to the window [max(L) + db_floor, max(L)] and mapped
     affinely onto [0, 1], so the image is invariant to rescaling the
     input by a positive constant.  All-zero input has no meaningful
     level window; it yields an all zero image flagged with
-    meta["all_zero"].  With db_scale=False the input is taken to be an
-    image in [0, 1] already and only the resize is applied.
+    meta["all_zero"].
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.shape[0] < 2 or mag.shape[1] < 2:
@@ -278,20 +269,13 @@ def to_image(
         raise ConfigError("image size must be >= 2")
     if db_floor >= 0:
         raise ConfigError(f"db_floor must be negative, got {db_floor}")
-    out_meta = dict(meta or {})
-
-    if db_scale:
-        if not np.any(mag > 0):
-            out_meta["all_zero"] = True
-            return TfrImage(np.zeros((size, size)), out_meta)
-        level = 20.0 * np.log10(mag + eps_mag)
-        top = level.max()
-        level = np.clip(level, top + db_floor, top)
-        img = (level - (top + db_floor)) / (-db_floor)
-    else:
-        img = mag
-    img = resize_bicubic(img, size, size)
-    return TfrImage(np.clip(img, 0.0, 1.0), out_meta)
+    if not np.any(mag > 0):
+        return TfrImage(np.zeros((size, size)), {"all_zero": True})
+    level = 20.0 * np.log10(mag + 1e-10)
+    top = level.max()
+    level = np.clip(level, top + db_floor, top)
+    img = resize_bicubic((level - (top + db_floor)) / (-db_floor), size, size)
+    return TfrImage(np.clip(img, 0.0, 1.0))
 
 
 def mean_filter(img: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Small shared helpers: derived random streams, atomic file writes and
-an order preserving parallel map."""
+"""Small shared helpers: derived random streams, a stratified index
+split, atomic file writes and an order preserving parallel map."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "rng_from", "atomic_write_bytes", "atomic_write_text", "check_threads", "parallel_map",
+    "rng_from", "split_by_class", "atomic_write_bytes", "atomic_write_text",
+    "check_threads", "parallel_map",
 ]
 
 
@@ -26,6 +27,24 @@ def rng_from(seed: int, *keys: int) -> np.random.Generator:
     """
     seq = np.random.SeedSequence([int(seed)] + [int(k) for k in keys])
     return np.random.Generator(np.random.Philox(seq))
+
+
+def split_by_class(
+    labels: np.ndarray, n_first, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split row indices into two sorted parts, class by class.
+
+    Classes are taken in sorted order; each draws one rng.permutation
+    of its rows, and the first n_first[k] of them go to the first part
+    for the k-th class, the rest to the second.
+    """
+    first, second = [], []
+    for k, name in enumerate(sorted(set(labels))):
+        idx = np.flatnonzero(labels == name)
+        idx = idx[rng.permutation(idx.size)]
+        first.append(idx[: n_first[k]])
+        second.append(idx[n_first[k]:])
+    return np.sort(np.concatenate(first)), np.sort(np.concatenate(second))
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:

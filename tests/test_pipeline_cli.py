@@ -25,6 +25,7 @@ from scenehog import (
     scan_dataset,
     segment,
     write_pgm,
+    write_wav,
 )
 from scenehog import pipeline
 from scenehog import cli
@@ -117,12 +118,6 @@ class TestRunConfig:
                    dict(pooling="grid"), dict(variant="signed"), dict(seg_seconds=0.5)):
             assert small_config(**kw).extraction_hash() != a.extraction_hash()
         assert len(a.extraction_hash()) == 40
-
-    def test_with_overrides_does_not_mutate(self):
-        a = small_config()
-        b = a.with_overrides(["n_orient=4", "include_factors=true"])
-        assert a.n_orient == 8 and not a.include_factors
-        assert b.n_orient == 4 and b.include_factors
 
     def test_grid_parsing(self):
         cfg = small_config(c_grid="0.5, 2, 8", sigma_grid="3,30")
@@ -306,6 +301,25 @@ class TestCli:
         assert len(pgms) == 10
         assert pgms[0].read_bytes().startswith(b"P5\n64 64\n255\n")
 
+    def test_nested_wavs_keep_distinct_ids(self, toy_workspace, capsys, tmp_path):
+        """Equal file names in different subdirectories are different rows
+        and write different PGMs."""
+        _, cfg_file = toy_workspace
+        clips = generate_toy(small_config(n_per_class=2))
+        data = tmp_path / "data"
+        for clip, rel in zip(clips, ["beach/a/x", "beach/b/x", "park/p1", "park/p2"]):
+            write_wav(data / f"{rel}.wav", clip)
+        dump = tmp_path / "images"
+        rc, table, _ = run_cli(
+            capsys, "extract", "--config", cfg_file, "--data", data,
+            "--out", tmp_path / "x.features", "--dump-images", dump,
+        )
+        assert rc == 0
+        assert table["rows"] == "4"
+        assert sorted(p.name for p in dump.glob("*.pgm")) == [
+            "beach_a_x.pgm", "beach_b_x.pgm", "park_p1.pgm", "park_p2.pgm",
+        ]
+
     @pytest.mark.parametrize("seg_seconds", [0.0, 0.25])
     def test_dump_images_come_from_the_extraction_pass(
         self, toy_workspace, capsys, monkeypatch, tmp_path, seg_seconds
@@ -475,6 +489,32 @@ class TestCli:
         )
         assert rc == 3
         assert "data error" in err
+
+    @pytest.mark.parametrize("command", ["toygen", "experiment", "compare", "extract"])
+    def test_missing_path_exit_code(self, toy_workspace, capsys, tmp_path, command):
+        """A path that is missing or not what the command needs exits 3
+        with one line naming it."""
+        root, cfg_file = toy_workspace
+        missing = tmp_path / "nosuch"
+        if command == "toygen":
+            bad = tmp_path / "afile"
+            bad.write_text("not a directory")
+            argv = ["toygen", "--out", bad]
+        elif command == "experiment":
+            bad = missing
+            argv = ["experiment", "--features", bad, "--report", tmp_path / "r.txt"]
+        elif command == "compare":
+            bad = missing
+            argv = ["compare", "--report-a", bad, "--report-b", root / "report.txt"]
+        else:
+            bad = missing
+            argv = ["extract", "--config", bad, "--data", root / "data",
+                    "--out", tmp_path / "x.features"]
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert err.startswith("scenehog: data error: ")
+        assert str(bad) in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

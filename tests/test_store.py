@@ -126,6 +126,14 @@ class TestScanDataset:
         scan = scan_dataset(tmp_path)
         assert [e[1] for e in scan.entries] == ["city"]
 
+    def test_nested_ids_are_paths_below_root(self, tmp_path):
+        for rel in ("beach/a/x.wav", "beach/b/x.wav", "beach/x.wav"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(b"RIFF")
+        scan = scan_dataset(tmp_path)
+        assert [e[2] for e in scan.entries] == ["beach/a/x", "beach/b/x", "beach/x"]
+        assert [e[1] for e in scan.entries] == ["beach"] * 3
+
     def test_empty_root_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             scan_dataset(tmp_path)

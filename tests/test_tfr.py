@@ -223,12 +223,6 @@ class TestToImage:
         np.testing.assert_allclose(img.pixels[:, :10], 0.0, atol=1e-9)
         np.testing.assert_allclose(img.pixels[:, 22:], 1.0, atol=1e-9)
 
-    def test_identity_when_db_disabled(self):
-        rng = np.random.default_rng(42)
-        img = rng.random((512, 512))
-        out = to_image(img, size=512, db_scale=False)
-        np.testing.assert_allclose(out.pixels, img, atol=1e-12)
-
     def test_monotone_at_matched_size(self):
         """With the resize inactive the level pipeline is order preserving."""
         rng = np.random.default_rng(42)
