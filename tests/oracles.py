@@ -4,10 +4,12 @@ Everything here is written from the mathematical definitions with the
 plainest possible code (explicit per frame loops, generic optimizers,
 exhaustive enumeration) and shares no helpers with the package, so a
 library bug cannot be masked by an identical bug in its oracle.  The
-two exceptions check optimised library code against the plain version
+three exceptions check optimised library code against the plain version
 it replaced: smo_oracle keeps the solver loop that recomputes every
-quantity per step, and model_select_oracle retrains every candidate
-from scratch through the package's one against one trainer.
+quantity per step, model_select_oracle retrains every candidate from
+scratch through the package's one against one trainer, and
+mean_filter_sliding keeps the sliding-window filter, fast enough to
+check full size images.
 """
 
 import itertools
@@ -97,6 +99,23 @@ def mean_filter_oracle(img, k):
                     c = min(max(j - lo + dj, 0), w - 1)
                     total += float(img[r, c])
             out[i, j] = total / (k * k)
+    return out
+
+
+def mean_filter_sliding(img, k):
+    """The same box average as mean_filter_oracle, as two row passes.
+
+    Each pass pads lo = k // 2 edge rows above and k - 1 - lo below,
+    averages k consecutive rows of a sliding window view and transposes
+    the result, so the second pass filters the columns.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    lo = k // 2
+    out = img
+    for _ in range(2):
+        padded = np.pad(out, ((lo, k - 1 - lo), (0, 0)), mode="edge")
+        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+        out = np.ascontiguousarray(windows.mean(axis=-1).T)
     return out
 
 

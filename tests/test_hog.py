@@ -61,6 +61,23 @@ def normalize_reference(raw, cfg):
     return h_signed / 4.0, h_unsigned / 4.0, factors
 
 
+def eager_factors(raw, cfg):
+    """The four factor sums formed eagerly, with np.ix_ gathers of the
+    neighbour energies and one clipped folded sum per neighbourhood."""
+    b = cfg.n_orient
+    unsigned = raw[:, :, :b] + raw[:, :, b:]
+    energy = np.einsum("rcb,rcb->rc", unsigned, unsigned)
+    n_rows, n_cols = energy.shape
+    factors = np.zeros((n_rows, n_cols, 4))
+    for n, (dr, dc) in enumerate(NEIGHBOURHOODS):
+        r2 = np.clip(np.arange(n_rows) + dr, 0, n_rows - 1)
+        c2 = np.clip(np.arange(n_cols) + dc, 0, n_cols - 1)
+        block = energy + energy[r2, :] + energy[:, c2] + energy[np.ix_(r2, c2)]
+        norm = np.sqrt(block + cfg.eps_norm)[:, :, None]
+        factors[:, :, n] = np.minimum(unsigned / norm, cfg.clip_tau).sum(axis=2)
+    return factors
+
+
 class TestGradient:
     def test_manual_values(self):
         img = np.array([[0.0, 1.0, 4.0], [2.0, 3.0, 5.0], [6.0, 7.0, 8.0]])
@@ -159,6 +176,22 @@ class TestNormalizeCells:
         np.testing.assert_allclose(grid.h_signed, ref_s, rtol=1e-12)
         np.testing.assert_allclose(grid.h_unsigned, ref_u, rtol=1e-12)
         np.testing.assert_allclose(grid.factors, ref_f, rtol=1e-12)
+
+    def test_derived_factors_equal_the_eager_sums(self):
+        """factors, formed on first read, equal the eager
+        four-neighbourhood sums bit for bit, and are formed once."""
+        rng = np.random.default_rng(42)
+        for shape, n_orient in (((6, 9, 16), 8), ((1, 1, 16), 8), ((1, 7, 8), 4), ((64, 64, 16), 8)):
+            cfg = HogConfig(n_orient=n_orient)
+            raw = rng.uniform(0.0, 5.0, shape)
+            raw[0, 0] = 0.0
+            grid = normalize_cells(raw, cfg)
+            np.testing.assert_array_equal(grid.factors, eager_factors(raw, cfg))
+            assert grid.factors is grid.factors
+
+    def test_grid_needs_factors_or_normalisers(self):
+        with pytest.raises(ConfigError):
+            HogGrid(np.zeros((1, 1, 16)), np.zeros((1, 1, 8)))
 
     def test_single_cell_clips_at_tau(self):
         cfg = HogConfig(n_orient=8, clip_tau=0.2)

@@ -297,7 +297,7 @@ class TestCli:
             "--out", root / "imgrun.features", "--dump-images", dump,
         )
         assert rc == 0
-        pgms = sorted(dump.glob("*.pgm"))
+        pgms = sorted(dump.rglob("*.pgm"))
         assert len(pgms) == 10
         assert pgms[0].read_bytes().startswith(b"P5\n64 64\n255\n")
 
@@ -316,9 +316,28 @@ class TestCli:
         )
         assert rc == 0
         assert table["rows"] == "4"
-        assert sorted(p.name for p in dump.glob("*.pgm")) == [
-            "beach_a_x.pgm", "beach_b_x.pgm", "park_p1.pgm", "park_p2.pgm",
+        assert sorted(p.relative_to(dump).as_posix() for p in dump.rglob("*.pgm")) == [
+            "beach/a/x.pgm", "beach/b/x.pgm", "park/p1.pgm", "park/p2.pgm",
         ]
+
+    def test_dump_images_keep_the_id_folders(self, toy_workspace, capsys, tmp_path):
+        """beach/a_x and beach/a/x are two rows and two PGMs; flattening
+        '/' to '_' would write both to one file."""
+        _, cfg_file = toy_workspace
+        clips = generate_toy(small_config(n_per_class=1))
+        data = tmp_path / "data"
+        for clip, rel in zip(clips, ["beach/a_x", "beach/a/x"]):
+            write_wav(data / f"{rel}.wav", clip)
+        dump = tmp_path / "images"
+        rc, table, _ = run_cli(
+            capsys, "extract", "--config", cfg_file, "--data", data,
+            "--out", tmp_path / "x.features", "--dump-images", dump,
+        )
+        assert rc == 0
+        assert table["rows"] == "2"
+        flat, nested = dump / "beach" / "a_x.pgm", dump / "beach" / "a" / "x.pgm"
+        assert sorted(dump.rglob("*.pgm")) == [nested, flat]
+        assert flat.read_bytes() != nested.read_bytes()
 
     @pytest.mark.parametrize("seg_seconds", [0.0, 0.25])
     def test_dump_images_come_from_the_extraction_pass(
@@ -351,13 +370,13 @@ class TestCli:
             clip.source_id = source_id
             clips.extend(segment(clip, seg_seconds) if seg_seconds else [clip])
         assert len(clips) == rows
-        assert len(list(dump.glob("*.pgm"))) == rows
+        assert len(list(dump.rglob("*.pgm"))) == rows
         for clip in clips:
             spectrum = cqt(clip, cfg.cqt_config(clip))
             image = to_image(np.abs(spectrum), size=cfg.image_size, db_floor=cfg.db_floor)
             want = tmp_path / "want.pgm"
             write_pgm(want, mean_filter(image.pixels, cfg.filter_size))
-            got = dump / f"{clip.source_id.replace('/', '_')}.pgm"
+            got = dump / f"{clip.source_id}.pgm"
             assert got.read_bytes() == want.read_bytes()
 
     def test_experiment(self, toy_workspace, capsys):

@@ -7,7 +7,7 @@ from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_
 from scenehog.errors import ConfigError
 from scenehog.tfr import _octave_kernels
 
-from oracles import cqt_oracle, cqt_profile_oracle, mean_filter_oracle
+from oracles import cqt_oracle, cqt_profile_oracle, mean_filter_oracle, mean_filter_sliding
 
 # small geometry that keeps the per-frame oracle affordable
 FS = 4000
@@ -306,3 +306,53 @@ class TestMeanFilter:
                 np.testing.assert_allclose(
                     mean_filter(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
                 )
+
+    @pytest.mark.parametrize("side", [31, 32, 33, 65])
+    def test_matches_oracle_around_band_edges(self, side):
+        """Sides just under, on and just over a multiple of the 32-pixel
+        band, along either axis."""
+        rng = np.random.default_rng(side)
+        for shape in ((side, 19), (19, side)):
+            img = rng.random(shape)
+            for k in (3, 15):
+                np.testing.assert_allclose(
+                    mean_filter(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
+                )
+
+    def test_window_larger_than_the_image(self):
+        rng = np.random.default_rng(42)
+        for shape in ((17, 29), (29, 17)):
+            img = rng.random(shape)
+            np.testing.assert_allclose(
+                mean_filter(img, 31), mean_filter_oracle(img, 31), rtol=0, atol=1e-14
+            )
+
+    def test_even_k_matches_oracle(self):
+        rng = np.random.default_rng(42)
+        img = rng.random((33, 40))
+        for k in (2, 4, 6, 16):
+            np.testing.assert_allclose(
+                mean_filter(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
+            )
+
+    def test_full_size_matches_sliding_reference(self):
+        """The chain's 512 x 512 image at the default k = 15."""
+        img = np.random.default_rng(42).random((512, 512))
+        np.testing.assert_allclose(
+            mean_filter(img, 15), mean_filter_sliding(img, 15), rtol=0, atol=1e-14
+        )
+
+    def test_sliding_reference_matches_oracle(self):
+        img = np.random.default_rng(42).random((17, 29))
+        for k in (2, 15):
+            np.testing.assert_allclose(
+                mean_filter_sliding(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
+            )
+
+    def test_output_is_a_fresh_c_contiguous_array(self):
+        img = np.asfortranarray(np.random.default_rng(42).random((40, 50)))
+        for k in (1, 3, 15):
+            out = mean_filter(img, k)
+            assert out.dtype == np.float64
+            assert out.flags.c_contiguous
+            assert not np.shares_memory(out, img)
