@@ -1,0 +1,75 @@
+"""Time extraction and one evaluation split of scenes19 sets of growing size.
+
+For each clips-per-class value on the command line (default 8 40 80)
+the script generates the ``perfbench/scenes19.py`` set at seed 1
+(19 classes of 2 s clips at 22.05 kHz), extracts it under the default
+config with one worker, and runs one split of the evaluation protocol
+on it: linear kernel, ``train_frac`` 0.8, default C grid and five
+resampled halves.  Features go through float32 first, as they do on
+their way through a feature file to ``scenehog experiment``.  It prints
+one tab separated line per size:
+
+    clips_per_class  rows  extract_s  split_s  map  c
+
+The benchmark workloads use 8 clips per class.  The source paper's set
+has about 160, and from about 40 on evaluation costs more than
+extraction, which the fixed workloads cannot show.  BLAS runs on one
+thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
+says otherwise.  The smallest size that runs is 5 (one test clip per
+class).  Run from anywhere:
+
+    python3 scripts/scale_probe.py [CLIPS_PER_CLASS ...]
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread settings)
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from scenehog import RunConfig, extract_clips, run_protocol  # noqa: E402
+from scenes19 import make_scenes19  # noqa: E402
+
+DEFAULT_SIZES = (8, 40, 80)
+SEED = 1
+
+
+def probe(n_per_class: int) -> tuple[int, float, float, float, float]:
+    """(rows, extraction s, split s, MAP, chosen C)."""
+    clips = make_scenes19(SEED, n_per_class)
+    start = time.perf_counter()
+    x, labels, _, _ = extract_clips(clips, RunConfig())
+    extract_s = time.perf_counter() - start
+    x = x.astype(np.float32).astype(np.float64)
+    start = time.perf_counter()
+    report = run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
+    split_s = time.perf_counter() - start
+    return x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0])
+
+
+def main(argv: list[str]) -> int:
+    try:
+        sizes = [int(v) for v in argv] or list(DEFAULT_SIZES)
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 5:
+        print("usage: scale_probe.py [CLIPS_PER_CLASS ...]  (each at least 5)", file=sys.stderr)
+        return 2
+    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc")
+    for n in sizes:
+        rows, extract_s, split_s, score, c = probe(n)
+        print(f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -122,53 +122,6 @@ class EvalReport:
         return float(np.mean(np.diag(column_normalize(self.confusion_sum))))
 
 
-def _run_one_split(
-    x: np.ndarray,
-    labels: np.ndarray,
-    classes: list[str],
-    split_index: int,
-    *,
-    seed: int,
-    train_frac: float,
-    fixed_train_count: int | None,
-    kernel_kind: str,
-    c_grid,
-    sigma_grid,
-    n_resample: int,
-    tol: float,
-):
-    train_idx, test_idx = stratified_split(
-        labels,
-        seed=seed,
-        split_index=split_index,
-        train_frac=train_frac,
-        fixed_train_count=fixed_train_count,
-    )
-    scaler = svm.fit_standardizer(x[train_idx])
-    x_train = scaler.apply(x[train_idx])
-    x_test = scaler.apply(x[test_idx])
-    c, sigma, _ = svm.model_select(
-        x_train,
-        labels[train_idx],
-        kernel_kind,
-        c_grid=c_grid,
-        sigma_grid=sigma_grid,
-        n_resample=n_resample,
-        seed=int(rng_from(seed, split_index, 1).integers(2**63)),
-        tol=tol,
-    )
-    spec = (
-        svm.KernelSpec("linear") if sigma is None else svm.KernelSpec("gaussian", sigma)
-    )
-    model = svm.train_one_vs_one(
-        x_train, labels[train_idx], c, spec, classes=classes, standardizer=scaler, tol=tol
-    )
-    pred = svm.predict(model, x_test, standardized=True)
-    score = map_score(labels[test_idx], pred, classes=classes)
-    confusion = confusion_counts(labels[test_idx], pred, classes)
-    return score, confusion, c, (np.nan if sigma is None else sigma), train_idx.size, test_idx.size
-
-
 def run_protocol(
     x: np.ndarray,
     labels,
@@ -203,19 +156,26 @@ def run_protocol(
         raise ProtocolError("evaluation needs at least two classes")
 
     def job(i: int):
-        return _run_one_split(
-            x,
-            labels,
-            classes,
-            i,
-            seed=seed,
-            train_frac=train_frac,
-            fixed_train_count=fixed_train_count,
-            kernel_kind=kernel_kind,
-            c_grid=c_grid,
-            sigma_grid=sigma_grid,
-            n_resample=n_resample,
-            tol=tol,
+        train_idx, test_idx = stratified_split(
+            labels, seed=seed, split_index=i,
+            train_frac=train_frac, fixed_train_count=fixed_train_count,
+        )
+        scaler = svm.fit_standardizer(x[train_idx])
+        x_train, train_labels = scaler.apply(x[train_idx]), labels[train_idx]
+        c, sigma, _ = svm.model_select(
+            x_train, train_labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid,
+            n_resample=n_resample, seed=int(rng_from(seed, i, 1).integers(2**63)), tol=tol,
+        )
+        spec = svm.KernelSpec("linear") if sigma is None else svm.KernelSpec("gaussian", sigma)
+        model = svm.train_one_vs_one(
+            x_train, train_labels, c, spec, classes=classes, standardizer=scaler, tol=tol
+        )
+        pred = svm.predict(model, scaler.apply(x[test_idx]), standardized=True)
+        test_labels = labels[test_idx]
+        return (
+            map_score(test_labels, pred, classes=classes),
+            confusion_counts(test_labels, pred, classes),
+            c, np.nan if sigma is None else sigma, train_idx.size, test_idx.size,
         )
 
     results = parallel_map(job, range(n_splits), threads)

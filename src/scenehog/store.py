@@ -186,7 +186,10 @@ class SplitManifest:
                 bucket.append(line)
         if "seed" not in header or "split_index" not in header:
             raise FormatError("manifest missing seed or split_index")
-        return cls(int(header["seed"]), int(header["split_index"]), train, test)
+        try:
+            return cls(int(header["seed"]), int(header["split_index"]), train, test)
+        except ValueError:
+            raise FormatError("manifest seed or split_index is not an integer") from None
 
     def write(self, path: str | Path) -> None:
         atomic_write_text(Path(path), self.to_text())

@@ -11,9 +11,10 @@ the array loop used for larger ones; both loops share the pair update
 and evaluate the same floating point operations, so a model does not
 depend on which loop trained it.  A solve that stops short of its KKT
 tolerance raises TrainingError.  Multiclass problems are handled one
-against one with majority voting.  Model selection computes each pair's
-training Gram and its kernel block against the validation half once
-per (half, sigma) and reuses both across the whole C grid.
+against one with majority voting; each pair's Gram is sliced from one
+kernel matrix per training set (per half and sigma in model selection,
+with one block against the validation half, both reused across the
+whole C grid).
 
 Every solve also returns a certificate of what it compared against C:
 the largest alpha it held, the smallest value it compared above atol,
@@ -521,6 +522,19 @@ class SvmModel:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
 
+def _class_pairs(labels: np.ndarray, classes: list[str]):
+    """Each class pair (a, b), a < b, in order, with the indices of its
+    rows in labels and their labels: +1 for classes[a], -1 for classes[b]."""
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            take_a = labels == classes[a]
+            take_b = labels == classes[b]
+            if not take_a.any() or not take_b.any():
+                raise TrainingError(f"no examples for pair ({classes[a]}, {classes[b]})")
+            rows = np.flatnonzero(take_a | take_b)
+            yield (a, b), rows, np.where(take_a[rows], 1.0, -1.0)
+
+
 def train_one_vs_one(
     x: np.ndarray,
     labels: np.ndarray,
@@ -531,25 +545,19 @@ def train_one_vs_one(
     standardizer: Standardizer | None = None,
     tol: float = 1e-3,
 ) -> SvmModel:
-    """Train all class pair machines on already standardized features."""
+    """Train all class pair machines on already standardized features,
+    each on its pair's block of one kernel matrix over all rows."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray([str(v) for v in labels])
     if classes is None:
         classes = sorted(set(labels))
     if len(classes) < 2:
         raise TrainingError("training set contains a single class")
-    machines = {}
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            take_a = labels == classes[a]
-            take_b = labels == classes[b]
-            if not take_a.any() or not take_b.any():
-                raise TrainingError(
-                    f"no examples for pair ({classes[a]}, {classes[b]})"
-                )
-            rows = take_a | take_b
-            y = np.where(take_a[rows], 1.0, -1.0)
-            machines[(a, b)] = train_binary(x[rows], y, c, kernel, tol=tol)
+    gram = kernel_matrix(x, x, kernel)
+    machines = {
+        pair: train_binary(x[rows], y, c, kernel, tol=tol, gram=gram[np.ix_(rows, rows)])
+        for pair, rows, y in _class_pairs(labels, classes)
+    }
     return SvmModel(list(classes), machines, standardizer, c, kernel)
 
 
@@ -671,37 +679,36 @@ def model_select(
         return c_values[ci], sigmas[si], 0.0
 
     # Every candidate trains the same pair machines on the same rows, so
-    # each pair's training Gram and its kernel block against the
-    # validation half are computed once per half and sigma and shared by
-    # the whole C grid.  The grid is walked in ascending C so each
-    # machine can take over the solve at the C below it (train_binary's
-    # prior); a machine that did keeps that solve's decision values.
+    # one kernel matrix over the learning half and one block against the
+    # validation half are computed per half and sigma; each pair's Gram
+    # and validation block are row slices of them, shared by the whole C
+    # grid.  The grid is walked in ascending C so each machine can take
+    # over the solve at the C below it (train_binary's prior); a machine
+    # that did keeps that solve's decision values.
     c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
-    pairs = [(a, b) for a in range(len(classes)) for b in range(a + 1, len(classes))]
     names = np.asarray(classes)
     totals = np.zeros((len(c_values), len(sigmas)))
     for learn_idx, val_idx in halves:
-        x_learn, x_val = x[learn_idx], x[val_idx]
-        learn_labels, val_labels = labels[learn_idx], labels[val_idx]
+        x_learn, x_val, val_labels = x[learn_idx], x[val_idx], labels[val_idx]
+        split = list(_class_pairs(labels[learn_idx], classes))
+        pairs = [pair for pair, _, _ in split]
         for si, sigma in enumerate(sigmas):
             spec = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
+            gram = kernel_matrix(x_learn, x_learn, spec)
+            cross = kernel_matrix(x_learn, x_val, spec)
             values = np.empty((len(c_values), len(pairs), val_idx.size))
-            for p, (a, b) in enumerate(pairs):
-                take_a = learn_labels == classes[a]
-                rows = take_a | (learn_labels == classes[b])
-                y = np.where(take_a[rows], 1.0, -1.0)
-                xr = x_learn[rows]
-                gram = kernel_matrix(xr, xr, spec)
-                cross = kernel_matrix(xr, x_val, spec)
+            for p, (_, rows, y) in enumerate(split):
+                xr, gram_r = x_learn[rows], gram[np.ix_(rows, rows)]
                 machine = last = None
                 for ci in c_order:
                     prior, machine = machine, train_binary(
-                        xr, y, c_values[ci], spec, tol=tol, gram=gram, prior=machine
+                        xr, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
                     )
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
                         values[ci, p] = values[last, p]
                     else:
-                        values[ci, p] = machine.alpha_signed @ cross[machine.support] + machine.bias
+                        k = cross[rows[machine.support]]
+                        values[ci, p] = machine.alpha_signed @ k + machine.bias
                     last = ci
             for ci in range(len(c_values)):
                 pred = names[_vote(values[ci], pairs, len(classes))]
@@ -791,8 +798,25 @@ class _Reader:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
 
+def _header_kernel(path: Path, code: int, sigma: float, c: float) -> KernelSpec:
+    """The kernel of a model or machine header; C must be positive."""
+    if code not in _KERNEL_NAMES:
+        raise FormatError(f"{path}: unknown kernel code {code}")
+    if not 0.0 < c < math.inf:
+        raise FormatError(f"{path}: C must be positive and finite, got {c}")
+    try:
+        return KernelSpec(_KERNEL_NAMES[code], sigma)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def load_model(path: str | Path) -> SvmModel:
-    """Read a model written by save_model; bit exact round trip."""
+    """Read a model written by save_model; bit exact round trip.
+
+    Raises FormatError unless the class names are UTF-8, every value is
+    finite, C and the deviations positive, each pair a < b < n_classes
+    and distinct, and no byte follows the last machine.
+    """
     path = Path(path)
     r = _Reader(path.read_bytes(), str(path))
     if r.take(4) != _MODEL_MAGIC:
@@ -800,24 +824,28 @@ def load_model(path: str | Path) -> SvmModel:
     version, kernel_code, sigma, c = r.unpack("<IIdd")
     if version != _MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
-    if kernel_code not in _KERNEL_NAMES:
-        raise FormatError(f"{path}: unknown kernel code {kernel_code}")
+    kernel = _header_kernel(path, kernel_code, sigma, c)
     n_classes, dim = r.unpack("<IQ")
-    classes = []
-    for _ in range(n_classes):
-        (n_bytes,) = r.unpack("<I")
-        classes.append(r.take(n_bytes).decode("utf-8"))
-    standardizer = Standardizer(r.floats(dim), r.floats(dim))
+    try:
+        classes = [r.take(r.unpack("<I")[0]).decode("utf-8") for _ in range(n_classes)]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: a class name is not UTF-8") from None
+    mean, std = r.floats(dim), r.floats(dim)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
+        raise FormatError(f"{path}: standardizer is not finite with positive deviations")
     (n_pairs,) = r.unpack("<I")
     machines = {}
     for _ in range(n_pairs):
         a, b, pair_code, pair_sigma, pair_c, bias = r.unpack("<IIIddd")
-        if pair_code not in _KERNEL_NAMES:
-            raise FormatError(f"{path}: unknown kernel code {pair_code}")
+        if not a < b < n_classes or (a, b) in machines:
+            raise FormatError(f"{path}: bad or repeated pair ({a}, {b}) of {n_classes} classes")
+        spec = _header_kernel(path, pair_code, pair_sigma, pair_c)
         (n_sv,) = r.unpack("<Q")
         alpha = r.floats(n_sv)
         sv = r.floats(n_sv * dim).reshape(n_sv, dim)
-        spec = KernelSpec(_KERNEL_NAMES[pair_code], pair_sigma)
+        if not (math.isfinite(bias) and np.isfinite(alpha).all() and np.isfinite(sv).all()):
+            raise FormatError(f"{path}: machine ({a}, {b}) holds non-finite values")
         machines[(a, b)] = BinarySvm(sv, alpha, bias, spec, pair_c)
-    kernel = KernelSpec(_KERNEL_NAMES[kernel_code], sigma)
-    return SvmModel(classes, machines, standardizer, c, kernel)
+    if r.pos != len(r.data):
+        raise FormatError(f"{path}: {len(r.data) - r.pos} bytes after the last machine")
+    return SvmModel(classes, machines, Standardizer(mean, std), c, kernel)

@@ -1,0 +1,33 @@
+"""scripts/scale_probe.py runs end to end at its smallest size."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
+
+
+def run(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_smallest_size_runs():
+    proc = run("5")
+    assert proc.returncode == 0, proc.stderr
+    header, line = proc.stdout.strip().splitlines()
+    assert header.split("\t") == ["clips_per_class", "rows", "extract_s", "split_s", "map", "c"]
+    n, rows, extract_s, split_s, score, c = line.split("\t")
+    assert (int(n), int(rows)) == (5, 95)
+    assert float(extract_s) > 0.0 and float(split_s) > 0.0
+    assert 0.0 <= float(score) <= 1.0
+    assert np.isclose(10.0 ** np.linspace(-3.0, 2.0, 10), float(c), rtol=1e-5).any()
+
+
+def test_sizes_below_five_refused():
+    proc = run("4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""

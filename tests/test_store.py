@@ -160,6 +160,12 @@ class TestSplitManifest:
         with pytest.raises(FormatError):
             SplitManifest.from_text("[train]\nx\n[test]\ny\n")
 
+    @pytest.mark.parametrize("seed, split_index", [("x", "0"), ("1", "2.5")])
+    def test_non_integer_header_rejected(self, seed, split_index):
+        text = f"seed={seed}\nsplit_index={split_index}\n[train]\nx\n[test]\ny\n"
+        with pytest.raises(FormatError):
+            SplitManifest.from_text(text)
+
 
 class TestWritePgm:
     def test_format_and_quantization(self, tmp_path):

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from scenehog import (
     BinarySvm,
     KernelSpec,
+    Standardizer,
     SvmModel,
     fit_standardizer,
     kernel_matrix,
@@ -347,6 +350,30 @@ def four_blobs(n=8, seed=42):
     return np.vstack(xs), np.asarray(labels)
 
 
+def wide_blobs(n=8, dim=1024, seed=42):
+    """Eight overlapping classes of n rows in dim dimensions.  BLAS can
+    tile a product over a whole learning half and one over a pair's rows
+    differently, so at this size sliced kernel entries may differ from
+    per-pair blocks in the last bit."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 0.2, (8, dim))
+    x = np.vstack([center + rng.normal(0.0, 1.0, (n, dim)) for center in centers])
+    return x, np.repeat([f"k{i}" for i in range(8)], n)
+
+
+def count_calls(monkeypatch, name):
+    """A list that gains one entry per call of svm.<name> from now on."""
+    calls = []
+    real = getattr(svm_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(svm_module, name, counted)
+    return calls
+
+
 def separable(rng, n):
     """n rows labelled by a random hyperplane, both classes present."""
     while True:
@@ -638,6 +665,16 @@ class TestOneVsOne:
         with pytest.raises(TrainingError):
             train_one_vs_one(x, labels, 1.0, KernelSpec("linear"), classes=["a", "b", "c"])
 
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec("linear"), KernelSpec("gaussian", 2.0)], ids=["linear", "gaussian"]
+    )
+    def test_one_kernel_matrix_per_training_set(self, monkeypatch, spec):
+        calls = count_calls(monkeypatch, "kernel_matrix")
+        x, labels = four_blobs()
+        model = train_one_vs_one(x, labels, 1.0, spec)
+        assert len(calls) == 1
+        assert len(model.machines) == 6
+
 
 class TestModelSelect:
     def test_perfect_validation_on_separable_data(self):
@@ -678,10 +715,16 @@ class TestModelSelect:
             model_select(x, labels, "cubic")
 
     @pytest.mark.parametrize(
-        "kernel_kind, sigma_grid", [("linear", None), ("gaussian", (0.5, 2.0, 8.0))]
+        "kernel_kind, sigma_grid, blobs",
+        [
+            pytest.param("linear", None, four_blobs, id="linear-None"),
+            pytest.param("gaussian", (0.5, 2.0, 8.0), four_blobs, id="gaussian-sigma_grid1"),
+            pytest.param("linear", None, wide_blobs, id="linear-wide"),
+            pytest.param("gaussian", (20.0, 50.0), wide_blobs, id="gaussian-wide"),
+        ],
     )
-    def test_matches_retrain_from_scratch_oracle(self, kernel_kind, sigma_grid):
-        x, labels = four_blobs()
+    def test_matches_retrain_from_scratch_oracle(self, kernel_kind, sigma_grid, blobs):
+        x, labels = blobs()
         c_grid = 10.0 ** np.linspace(-3.0, 2.0, 6)
         got = model_select(
             x, labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid, seed=5
@@ -724,6 +767,67 @@ class TestModelSelect:
             sigma_grid=sigma_grid, n_resample=3, seed=2,
         )
         assert len(calls) == 3 * n_sigma * 3 * 6   # |C| |sigma| halves pairs
+
+    @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid, n_sigma", [("linear", (1.0, 2.0), 1), ("gaussian", (1.0, 2.0), 2)]
+    )
+    def test_two_kernel_matrices_per_half_and_sigma(
+        self, monkeypatch, kernel_kind, sigma_grid, n_sigma
+    ):
+        """One Gram of the learning half and one block against the
+        validation half; every pair slices its rows out of them."""
+        calls = count_calls(monkeypatch, "kernel_matrix")
+        x, labels = four_blobs()
+        model_select(
+            x, labels, kernel_kind, c_grid=np.array([0.1, 1.0, 10.0]),
+            sigma_grid=sigma_grid, n_resample=3, seed=2,
+        )
+        assert len(calls) == 2 * n_sigma * 3   # Gram and block, |sigma|, halves
+
+
+def stub_model():
+    """Three classes, two gaussian machines of one support vector each;
+    every float in the file is distinct, so a test can find and replace
+    it by its bytes."""
+    machines = {
+        (0, 1): BinarySvm(
+            np.array([[23.0, 29.0]]), np.array([19.0]), 17.0, KernelSpec("gaussian", 13.0), 11.0
+        ),
+        (1, 2): BinarySvm(
+            np.array([[59.0, 61.0]]), np.array([67.0]), 71.0, KernelSpec("gaussian", 47.0), 53.0
+        ),
+    }
+    standardizer = Standardizer(np.array([31.0, 37.0]), np.array([41.0, 43.0]))
+    return SvmModel(["a", "b", "c"], machines, standardizer, 3.0, KernelSpec("gaussian", 5.0))
+
+
+def f8(value):
+    return struct.pack("<d", value)
+
+
+def pair(a, b):
+    return struct.pack("<II", a, b)
+
+
+# case: (bytes of stub_model's file, replacement that load_model must refuse)
+MALFORMED = {
+    "class_name_not_utf8": (b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00\xff"),
+    "nan_mean": (f8(37.0), f8(np.nan)),
+    "inf_std": (f8(41.0), f8(np.inf)),
+    "zero_std": (f8(43.0), f8(0.0)),
+    "nan_model_c": (f8(3.0), f8(np.nan)),
+    "nan_model_sigma": (f8(5.0), f8(np.nan)),
+    "inf_machine_c": (f8(11.0), f8(np.inf)),
+    "negative_machine_c": (f8(53.0), f8(-1.0)),
+    "nan_machine_sigma": (f8(13.0), f8(np.nan)),
+    "nan_bias": (f8(17.0), f8(np.nan)),
+    "nan_alpha": (f8(19.0), f8(np.nan)),
+    "inf_support_vector": (f8(29.0), f8(-np.inf)),
+    "pair_beyond_classes": (pair(1, 2), pair(1, 7)),
+    "pair_not_ascending": (pair(1, 2), pair(2, 1)),
+    "repeated_pair": (pair(1, 2), pair(0, 1)),
+    "trailing_byte": (f8(61.0), f8(61.0) + b"\x00"),   # 61.0 ends the file
+}
 
 
 class TestModelPersistence:
@@ -773,5 +877,23 @@ class TestModelPersistence:
         save_model(path, model)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_stub_model_loads(self, tmp_path):
+        path = tmp_path / "model.svm"
+        save_model(path, stub_model())
+        loaded = load_model(path)
+        assert sorted(loaded.machines) == [(0, 1), (1, 2)]
+        assert predict(loaded, np.array([[31.0, 37.0]])).shape == (1,)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_rejected(self, tmp_path, case):
+        old, new = MALFORMED[case]
+        path = tmp_path / "model.svm"
+        save_model(path, stub_model())
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
         with pytest.raises(FormatError):
             load_model(path)
