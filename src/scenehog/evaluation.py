@@ -170,7 +170,7 @@ def run_protocol(
         model = svm.train_one_vs_one(
             x_train, train_labels, c, spec, classes=classes, standardizer=scaler, tol=tol
         )
-        pred = svm.predict(model, scaler.apply(x[test_idx]), standardized=True)
+        pred = svm.predict(model, x[test_idx])
         test_labels = labels[test_idx]
         return (
             map_score(test_labels, pred, classes=classes),

@@ -14,7 +14,8 @@ tolerance raises TrainingError.  Multiclass problems are handled one
 against one with majority voting; each pair's Gram is sliced from one
 kernel matrix per training set (per half and sigma in model selection,
 with one block against the validation half, both reused across the
-whole C grid).
+whole C grid).  A model stores the training rows its machines use once,
+and predict scores every machine from one kernel block against them.
 
 Every solve also returns a certificate of what it compared against C:
 the largest alpha it held, the smallest value it compared above atol,
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -152,29 +153,27 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
 class BinarySvm:
     """One trained two class machine.
 
-    support_vectors  (n_sv, dim) rows with nonzero dual weight
-    alpha_signed     alpha_i * y_i for each support vector
-    bias             intercept; decision f(x) = sum alpha_signed K(sv, x) + bias
-    support          row indices of the support vectors in the training set;
-                     None when unknown, as for a machine read from a model file
-    solve            the record of the SMO solve behind the machine, which
-                     train_binary(prior=) reads; None when unknown
+    support       ascending indices of the support vectors (rows with
+                  nonzero dual weight) among the rows it was trained on;
+                  for a model's machines, rows of model.support_vectors
+    alpha_signed  alpha_i * y_i for each support vector
+    bias          intercept; decision f(x) = sum alpha_signed K(sv, x) + bias
+    solve         the record of the SMO solve behind the machine, which
+                  train_binary(prior=) reads; None when unknown
     """
 
-    support_vectors: np.ndarray
+    support: np.ndarray
     alpha_signed: np.ndarray
     bias: float
     kernel: KernelSpec
     c: float
-    support: np.ndarray | None = None
     solve: _Solve | None = field(default=None, repr=False, compare=False)
 
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.alpha_signed.size == 0:
-            return np.full(x.shape[0], self.bias)
-        k = kernel_matrix(self.support_vectors, x, self.kernel)
-        return self.alpha_signed @ k + self.bias
+
+def _decision(machine: BinarySvm, k: np.ndarray) -> np.ndarray:
+    """The machine's decision values at the points of the columns of k,
+    a kernel block whose rows machine.support indexes."""
+    return machine.alpha_signed @ k[machine.support] + machine.bias
 
 
 # Problems with at most SMALL_N rows run the step loop on Python lists,
@@ -440,7 +439,7 @@ def train_binary(
     C-dependent bound taken, every alpha below C - atol at both costs,
     and atol unchanged or still below every value compared above it),
     the solve at c would take the same steps to the same bits, so the
-    returned machine shares the prior's alpha, bias and support vectors
+    returned machine shares the prior's alpha, bias and support indices
     (made read-only) with c as its cost, and _smo does not run.  Any
     other prior is ignored and the machine is solved afresh.
     """
@@ -465,12 +464,9 @@ def train_binary(
         and 0.0 < c < math.inf
         and solve.holds_at(prior.c, c)
     ):
-        for shared in (prior.support_vectors, prior.alpha_signed, prior.support):
+        for shared in (prior.support, prior.alpha_signed):
             shared.flags.writeable = False
-        return BinarySvm(
-            prior.support_vectors, prior.alpha_signed, prior.bias, kernel, c,
-            prior.support, solve,
-        )
+        return BinarySvm(prior.support, prior.alpha_signed, prior.bias, kernel, c, solve)
 
     if x.shape[0] != y.size:
         raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
@@ -490,12 +486,11 @@ def train_binary(
     alpha, bias, it, cert = _smo(k, y, c, tol, max_iter)
     sv = alpha > _atol(c)
     return BinarySvm(
-        support_vectors=x[sv],
+        support=np.flatnonzero(sv),
         alpha_signed=(alpha * y)[sv],
         bias=bias,
         kernel=kernel,
         c=c,
-        support=np.flatnonzero(sv),
         solve=_Solve(weakref.ref(k), weakref.ref(x), labels, tol, max_iter, it, *cert),
     )
 
@@ -510,13 +505,15 @@ class SvmModel:
     """A one against one ensemble over an ordered class list.
 
     machines[(i, j)] with i < j separates classes[i] (+1) from
-    classes[j] (-1).  The standardizer that produced the training
-    features travels with the model so persisted models are self
-    contained.
+    classes[j] (-1); its support indexes support_vectors, which holds
+    each training row that any machine uses once, in training order.
+    The standardizer that produced the training features travels with
+    the model so persisted models are self contained.
     """
 
     classes: list[str]
     machines: dict[tuple[int, int], BinarySvm]
+    support_vectors: np.ndarray
     standardizer: Standardizer | None = None
     c: float = 1.0
     kernel: KernelSpec = field(default_factory=KernelSpec)
@@ -546,7 +543,8 @@ def train_one_vs_one(
     tol: float = 1e-3,
 ) -> SvmModel:
     """Train all class pair machines on already standardized features,
-    each on its pair's block of one kernel matrix over all rows."""
+    each on its pair's block of one kernel matrix over all rows; the
+    rows any machine keeps as support vectors are stored once."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray([str(v) for v in labels])
     if classes is None:
@@ -554,11 +552,17 @@ def train_one_vs_one(
     if len(classes) < 2:
         raise TrainingError("training set contains a single class")
     gram = kernel_matrix(x, x, kernel)
-    machines = {
-        pair: train_binary(x[rows], y, c, kernel, tol=tol, gram=gram[np.ix_(rows, rows)])
+    fits = [
+        (pair, rows, train_binary(x[rows], y, c, kernel, tol=tol, gram=gram[np.ix_(rows, rows)]))
         for pair, rows, y in _class_pairs(labels, classes)
+    ]
+    # np.unique would import numpy.ma (14 ms, 0.5 MB RSS) into the process
+    kept = np.bincount(np.concatenate([rows[m.support] for _, rows, m in fits]), minlength=len(x))
+    used = np.flatnonzero(kept)
+    machines = {
+        pair: replace(m, support=np.searchsorted(used, rows[m.support])) for pair, rows, m in fits
     }
-    return SvmModel(list(classes), machines, standardizer, c, kernel)
+    return SvmModel(list(classes), machines, x[used], standardizer, c, kernel)
 
 
 def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> np.ndarray:
@@ -587,22 +591,24 @@ def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> n
     return (heavy == heavy.max(axis=0)).argmax(axis=0)
 
 
-def predict(model: SvmModel, x: np.ndarray, *, standardized: bool = False) -> np.ndarray:
-    """Predicted class names for the rows of x.
+def predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """Predicted class names for the rows of x, which the model's
+    standardizer, when it has one, maps first.
 
-    Each pairwise machine votes for the class favoured by the sign of
-    its decision value (ties at exactly zero go to the lower indexed
-    class).  The class with most votes wins; vote ties are broken by
-    the larger sum of |decision| over the machines involving the class,
-    and any remaining tie by class order.
+    One kernel block of the model's support vectors against x scores
+    every machine.  Each pairwise machine votes for the class favoured
+    by the sign of its decision value (ties at exactly zero go to the
+    lower indexed class).  The class with most votes wins; vote ties
+    are broken by the larger sum of |decision| over the machines
+    involving the class, and any remaining tie by class order.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not standardized and model.standardizer is not None:
+    if model.standardizer is not None:
         x = model.standardizer.apply(x)
-    pairs = list(model.machines)
-    values = np.asarray([model.machines[p].decision(x) for p in pairs], dtype=np.float64)
-    winners = _vote(values.reshape(len(pairs), x.shape[0]), pairs, len(model.classes))
-    return np.asarray([model.classes[k] for k in winners])
+    k = kernel_matrix(model.support_vectors, x, model.kernel)
+    values = np.asarray([_decision(m, k) for m in model.machines.values()])
+    winners = _vote(values, list(model.machines), len(model.classes))
+    return np.asarray([model.classes[w] for w in winners])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +704,7 @@ def model_select(
             cross = kernel_matrix(x_learn, x_val, spec)
             values = np.empty((len(c_values), len(pairs), val_idx.size))
             for p, (_, rows, y) in enumerate(split):
-                xr, gram_r = x_learn[rows], gram[np.ix_(rows, rows)]
+                xr, gram_r, cross_r = x_learn[rows], gram[np.ix_(rows, rows)], cross[rows]
                 machine = last = None
                 for ci in c_order:
                     prior, machine = machine, train_binary(
@@ -707,8 +713,7 @@ def model_select(
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
                         values[ci, p] = values[last, p]
                     else:
-                        k = cross[rows[machine.support]]
-                        values[ci, p] = machine.alpha_signed @ k + machine.bias
+                        values[ci, p] = _decision(machine, cross_r)
                     last = ci
             for ci in range(len(c_values)):
                 pred = names[_vote(values[ci], pairs, len(classes))]
@@ -727,7 +732,7 @@ def model_select(
 # ---------------------------------------------------------------------------
 
 _MODEL_MAGIC = b"HSVM"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 _KERNEL_CODES = {"linear": 0, "gaussian": 1}
 _KERNEL_NAMES = {v: k for k, v in _KERNEL_CODES.items()}
 
@@ -735,6 +740,8 @@ _KERNEL_NAMES = {v: k for k, v in _KERNEL_CODES.items()}
 def save_model(path: str | Path, model: SvmModel) -> None:
     """Serialize a model; all floats are little endian float64.
 
+    The support vectors are stored once; each machine stores its pair,
+    bias, and the indices and signed alphas of its support vectors.
     The write goes through a temporary file in the destination
     directory followed by an atomic rename, so a crash cannot leave a
     half written model behind.
@@ -742,15 +749,10 @@ def save_model(path: str | Path, model: SvmModel) -> None:
     if model.standardizer is None:
         raise ConfigError("only models carrying a standardizer can be saved")
     dim = model.standardizer.mean.size
+    kernel = model.kernel
     parts = [
         _MODEL_MAGIC,
-        struct.pack(
-            "<IIdd",
-            _MODEL_VERSION,
-            _KERNEL_CODES[model.kernel.kind],
-            model.kernel.sigma,
-            model.c,
-        ),
+        struct.pack("<IIdd", _MODEL_VERSION, _KERNEL_CODES[kernel.kind], kernel.sigma, model.c),
         struct.pack("<IQ", len(model.classes), dim),
     ]
     for name in model.classes:
@@ -758,23 +760,14 @@ def save_model(path: str | Path, model: SvmModel) -> None:
         parts.append(struct.pack("<I", len(blob)) + blob)
     parts.append(np.asarray(model.standardizer.mean, "<f8").tobytes())
     parts.append(np.asarray(model.standardizer.std, "<f8").tobytes())
+    parts.append(struct.pack("<Q", len(model.support_vectors)))
+    parts.append(np.ascontiguousarray(model.support_vectors, "<f8").tobytes())
     parts.append(struct.pack("<I", len(model.machines)))
     for (a, b) in sorted(model.machines):
         svm = model.machines[(a, b)]
-        parts.append(
-            struct.pack(
-                "<IIIddd",
-                a,
-                b,
-                _KERNEL_CODES[svm.kernel.kind],
-                svm.kernel.sigma,
-                svm.c,
-                svm.bias,
-            )
-        )
-        parts.append(struct.pack("<Q", svm.alpha_signed.size))
+        parts.append(struct.pack("<IIdQ", a, b, svm.bias, svm.support.size))
+        parts.append(np.asarray(svm.support, "<u8").tobytes())
         parts.append(np.asarray(svm.alpha_signed, "<f8").tobytes())
-        parts.append(np.ascontiguousarray(svm.support_vectors, "<f8").tobytes())
     atomic_write_bytes(Path(path), b"".join(parts))
 
 
@@ -798,24 +791,15 @@ class _Reader:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
 
-def _header_kernel(path: Path, code: int, sigma: float, c: float) -> KernelSpec:
-    """The kernel of a model or machine header; C must be positive."""
-    if code not in _KERNEL_NAMES:
-        raise FormatError(f"{path}: unknown kernel code {code}")
-    if not 0.0 < c < math.inf:
-        raise FormatError(f"{path}: C must be positive and finite, got {c}")
-    try:
-        return KernelSpec(_KERNEL_NAMES[code], sigma)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def load_model(path: str | Path) -> SvmModel:
     """Read a model written by save_model; bit exact round trip.
 
-    Raises FormatError unless the class names are UTF-8, every value is
-    finite, C and the deviations positive, each pair a < b < n_classes
-    and distinct, and no byte follows the last machine.
+    Raises FormatError unless the version is current, there are at
+    least two classes with UTF-8 names and at least one feature, every
+    value is finite, C and the deviations are positive, each pair
+    a < b < n_classes has one machine, each machine's support indices
+    ascend strictly below the number of support vectors, and no byte
+    follows the last machine.
     """
     path = Path(path)
     r = _Reader(path.read_bytes(), str(path))
@@ -824,8 +808,17 @@ def load_model(path: str | Path) -> SvmModel:
     version, kernel_code, sigma, c = r.unpack("<IIdd")
     if version != _MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
-    kernel = _header_kernel(path, kernel_code, sigma, c)
+    if kernel_code not in _KERNEL_NAMES:
+        raise FormatError(f"{path}: unknown kernel code {kernel_code}")
+    if not 0.0 < c < math.inf:
+        raise FormatError(f"{path}: C must be positive and finite, got {c}")
+    try:
+        kernel = KernelSpec(_KERNEL_NAMES[kernel_code], sigma)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     n_classes, dim = r.unpack("<IQ")
+    if n_classes < 2 or dim < 1:
+        raise FormatError(f"{path}: a model needs at least two classes and one feature")
     try:
         classes = [r.take(r.unpack("<I")[0]).decode("utf-8") for _ in range(n_classes)]
     except UnicodeDecodeError:
@@ -833,19 +826,25 @@ def load_model(path: str | Path) -> SvmModel:
     mean, std = r.floats(dim), r.floats(dim)
     if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
         raise FormatError(f"{path}: standardizer is not finite with positive deviations")
+    (n_sv,) = r.unpack("<Q")
+    support_vectors = r.floats(n_sv * dim).reshape(n_sv, dim)
+    if not np.isfinite(support_vectors).all():
+        raise FormatError(f"{path}: support vectors hold non-finite values")
     (n_pairs,) = r.unpack("<I")
+    if n_pairs != n_classes * (n_classes - 1) // 2:
+        raise FormatError(f"{path}: {n_pairs} machines for {n_classes} classes")
     machines = {}
     for _ in range(n_pairs):
-        a, b, pair_code, pair_sigma, pair_c, bias = r.unpack("<IIIddd")
+        a, b, bias, n = r.unpack("<IIdQ")
         if not a < b < n_classes or (a, b) in machines:
             raise FormatError(f"{path}: bad or repeated pair ({a}, {b}) of {n_classes} classes")
-        spec = _header_kernel(path, pair_code, pair_sigma, pair_c)
-        (n_sv,) = r.unpack("<Q")
-        alpha = r.floats(n_sv)
-        sv = r.floats(n_sv * dim).reshape(n_sv, dim)
-        if not (math.isfinite(bias) and np.isfinite(alpha).all() and np.isfinite(sv).all()):
+        support = np.frombuffer(r.take(8 * n), dtype="<u8")
+        alpha = r.floats(n)
+        if not ((support[1:] > support[:-1]).all() and (support < n_sv).all()):
+            raise FormatError(f"{path}: machine ({a}, {b}) has bad support indices")
+        if not (math.isfinite(bias) and np.isfinite(alpha).all()):
             raise FormatError(f"{path}: machine ({a}, {b}) holds non-finite values")
-        machines[(a, b)] = BinarySvm(sv, alpha, bias, spec, pair_c)
+        machines[(a, b)] = BinarySvm(support.astype(np.intp), alpha, bias, kernel, c)
     if r.pos != len(r.data):
         raise FormatError(f"{path}: {len(r.data) - r.pos} bytes after the last machine")
-    return SvmModel(classes, machines, Standardizer(mean, std), c, kernel)
+    return SvmModel(classes, machines, support_vectors, Standardizer(mean, std), c, kernel)

@@ -338,7 +338,7 @@ def model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, n_resample, 
         total = 0.0
         for learn, val in halves:
             model = train_one_vs_one(x[learn], labels[learn], c, spec, classes=classes)
-            pred = predict(model, x[val], standardized=True)
+            pred = predict(model, x[val])
             total += map_score(labels[val], pred, classes=classes)
         score = total / len(halves)
         if best is None or score > best[2]:

@@ -33,11 +33,16 @@ from oracles import (
 def recover_alpha(svm, x):
     """Full length alpha vector, reconstructed by matching support rows."""
     alpha = np.zeros(x.shape[0])
-    for row, a in zip(svm.support_vectors, svm.alpha_signed):
+    for row, a in zip(x[svm.support], svm.alpha_signed):
         matches = np.flatnonzero(np.all(x == row, axis=1))
         assert matches.size == 1
         alpha[matches[0]] = abs(a)
     return alpha
+
+
+def decide(svm, x, probe, spec):
+    """Decision values at probe of a machine trained on the rows x."""
+    return svm_module._decision(svm, kernel_matrix(x, probe, spec))
 
 
 def violation_gap(k, y, alpha, c):
@@ -115,15 +120,18 @@ class TestBinarySvm:
         svm = train_binary(x, y, 10.0, KernelSpec("linear"))
         assert svm.bias == pytest.approx(0.0, abs=1e-9)
         grid = np.array([[-2.0], [0.0], [0.5], [3.0]])
-        np.testing.assert_allclose(svm.decision(grid), grid.ravel(), atol=1e-9)
+        np.testing.assert_allclose(
+            decide(svm, x, grid, KernelSpec("linear")), grid.ravel(), atol=1e-9
+        )
         alpha = recover_alpha(svm, x)
         np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-9)
 
     def test_xor_with_gaussian_kernel(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        svm = train_binary(x, y, 100.0, KernelSpec("gaussian", sigma=0.7))
-        assert np.all(np.sign(svm.decision(x)) == y)
+        spec = KernelSpec("gaussian", sigma=0.7)
+        svm = train_binary(x, y, 100.0, spec)
+        assert np.all(np.sign(decide(svm, x, x, spec)) == y)
 
     def test_decision_formula(self):
         rng = np.random.default_rng(42)
@@ -133,9 +141,9 @@ class TestBinarySvm:
         spec = KernelSpec("gaussian", sigma=2.0)
         svm = train_binary(x, y, 5.0, spec)
         probe = rng.standard_normal((6, 3))
-        k = kernel_matrix(probe, svm.support_vectors, spec)
+        k = kernel_matrix(probe, x[svm.support], spec)
         np.testing.assert_allclose(
-            svm.decision(probe), k @ svm.alpha_signed + svm.bias, rtol=1e-12
+            decide(svm, x, probe, spec), k @ svm.alpha_signed + svm.bias, rtol=1e-12
         )
 
     def test_objective_matches_slsqp_oracle(self):
@@ -264,15 +272,6 @@ class TestBinarySvm:
         with pytest.raises(TrainingError, match=r"1 iterations \(gap m - M = "):
             svm_module._smo(k, y, 10.0, 1e-3, 1)
 
-    def test_support_vectors_own_their_rows(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((12, 3))
-        y = np.where(x[:, 0] > 0, 1.0, -1.0)
-        machine = train_binary(x, y, 1.0, KernelSpec("linear"))
-        assert machine.support_vectors.flags.owndata
-        assert not np.shares_memory(machine.support_vectors, x)
-        np.testing.assert_array_equal(machine.support_vectors, x[machine.support])
-
     def test_given_gram_is_bit_identical(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((15, 4))
@@ -282,10 +281,8 @@ class TestBinarySvm:
             plain = train_binary(x, y, 2.0, spec)
             given = train_binary(x, y, 2.0, spec, gram=kernel_matrix(x, x, spec))
             assert given.alpha_signed.tobytes() == plain.alpha_signed.tobytes()
-            assert given.support_vectors.tobytes() == plain.support_vectors.tobytes()
             assert given.bias == plain.bias
             np.testing.assert_array_equal(given.support, plain.support)
-            np.testing.assert_array_equal(x[given.support], given.support_vectors)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_c_rejected(self, c):
@@ -396,7 +393,6 @@ def assert_same_solve(got, want):
         assert got.alpha_signed.tobytes() == want.alpha_signed.tobytes()
         assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
         np.testing.assert_array_equal(got.support, want.support)
-        assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
         assert got.solve.iterations == want.solve.iterations
         assert got.c == want.c
 
@@ -578,20 +574,26 @@ class TestSolveReuse:
         assert_same_solve(got, train_binary(x, y, 2e3, spec))
 
 
+def unit_machine(row):
+    """A linear machine of zero bias whose one support vector, of
+    alpha_signed 1, is the given row of its model's support vectors."""
+    return BinarySvm(np.array([row]), np.array([1.0]), 0.0, KernelSpec("linear"), 1.0)
+
+
 class TestOneVsOne:
     def test_separable_three_class(self):
         x, labels = three_blobs()
         model = train_one_vs_one(x, labels, 10.0, KernelSpec("linear"))
         assert model.classes == ["a", "b", "c"]
         assert set(model.machines) == {(0, 1), (0, 2), (1, 2)}
-        np.testing.assert_array_equal(predict(model, x, standardized=True), labels)
+        np.testing.assert_array_equal(predict(model, x), labels)
 
     def test_new_points_classified_by_nearest_blob(self):
         x, labels = three_blobs()
         model = train_one_vs_one(x, labels, 10.0, KernelSpec("linear"))
         probes = np.array([[0.5, -0.2], [6.2, 0.4], [-0.3, 5.8]])
         np.testing.assert_array_equal(
-            predict(model, probes, standardized=True), ["a", "b", "c"]
+            predict(model, probes), ["a", "b", "c"]
         )
 
     def test_standardizer_applied_at_predict(self):
@@ -606,37 +608,27 @@ class TestOneVsOne:
     def test_vote_tie_broken_by_decision_weight(self):
         """A hand built 3 cycle of machines gives every class one vote;
         the summed |decision| picks the winner."""
-        spec = KernelSpec("linear")
-        def stub(w, b):
-            return BinarySvm(
-                support_vectors=np.array([[w]]), alpha_signed=np.array([1.0]),
-                bias=b, kernel=spec, c=1.0,
-            )
         # at x = 1: f01 = +1 (votes 0), f12 = +2 (votes 1), f02 = -4 (votes 2)
         model = SvmModel(
             classes=["p", "q", "r"],
-            machines={(0, 1): stub(1.0, 0.0), (1, 2): stub(2.0, 0.0), (0, 2): stub(-4.0, 0.0)},
+            machines={(0, 1): unit_machine(0), (1, 2): unit_machine(1), (0, 2): unit_machine(2)},
+            support_vectors=np.array([[1.0], [2.0], [-4.0]]),
         )
         # weights: p gets 1+4, q gets 1+2, r gets 2+4 -> r wins
-        assert predict(model, np.array([[1.0]]), standardized=True)[0] == "r"
+        assert predict(model, np.array([[1.0]]))[0] == "r"
 
     def test_vote_and_weight_tie_goes_to_lowest_class(self):
         """Every class gets one vote and the same |decision| sum; the
         lowest class index wins."""
-        spec = KernelSpec("linear")
-        def stub(w):
-            return BinarySvm(
-                support_vectors=np.array([[w]]), alpha_signed=np.array([1.0]),
-                bias=0.0, kernel=spec, c=1.0,
-            )
         # at x = 1: f01 = +1 (votes 0), f12 = +1 (votes 1), f02 = -1 (votes 2)
         # at x = -1 every sign flips: f01 votes 1, f12 votes 2, f02 votes 0
         model = SvmModel(
             classes=["p", "q", "r"],
-            machines={(0, 1): stub(1.0), (1, 2): stub(1.0), (0, 2): stub(-1.0)},
+            machines={(0, 1): unit_machine(0), (1, 2): unit_machine(0), (0, 2): unit_machine(1)},
+            support_vectors=np.array([[1.0], [-1.0]]),
         )
         probes = np.array([[1.0], [-1.0]])
-        np.testing.assert_array_equal(predict(model, probes, standardized=True), ["p", "p"])
+        np.testing.assert_array_equal(predict(model, probes), ["p", "p"])
 
     def test_vote_matches_pair_order_oracle(self):
         """Votes and |decision| weights, summed in the order of pairs,
@@ -674,6 +666,57 @@ class TestOneVsOne:
         model = train_one_vs_one(x, labels, 1.0, spec)
         assert len(calls) == 1
         assert len(model.machines) == 6
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec("linear"), KernelSpec("gaussian", 2.0)], ids=["linear", "gaussian"]
+    )
+    def test_one_kernel_matrix_per_predict(self, monkeypatch, spec):
+        x, labels = four_blobs()
+        model = train_one_vs_one(x, labels, 1.0, spec)
+        calls = count_calls(monkeypatch, "kernel_matrix")
+        for probes in (x, x[:1]):
+            calls.clear()
+            predict(model, probes)
+            assert len(calls) == 1
+
+    def test_support_vectors_stored_once(self):
+        """Each training row some machine keeps is stored once, in
+        training order, in memory of the model's own, and every machine
+        indexes its support vectors there in ascending order."""
+        x, labels = four_blobs()
+        spec = KernelSpec("linear")
+        gram = kernel_matrix(x, x, spec)
+        for c in (0.01, 1.0, 100.0):
+            model = train_one_vs_one(x, labels, c, spec)
+            used = set()
+            for (a, b), m in model.machines.items():
+                rows = np.flatnonzero(np.isin(labels, [model.classes[a], model.classes[b]]))
+                y = np.where(labels[rows] == model.classes[a], 1.0, -1.0)
+                alone = train_binary(x[rows], y, c, spec, gram=gram[np.ix_(rows, rows)])
+                kept = rows[alone.support]
+                assert m.alpha_signed.tobytes() == alone.alpha_signed.tobytes()
+                assert np.all(np.diff(m.support) > 0)
+                np.testing.assert_array_equal(model.support_vectors[m.support], x[kept])
+                used |= set(kept.tolist())
+            np.testing.assert_array_equal(model.support_vectors, x[sorted(used)])
+            assert model.support_vectors.flags.owndata
+            assert not np.shares_memory(model.support_vectors, x)
+
+    def test_machine_without_support_vectors_scores_its_bias(self, monkeypatch):
+        """At C = 1e-13 no multiplier can leave 0, so every machine keeps
+        no support vector and its decision value is its bias."""
+        x, labels = three_blobs()
+        model = train_one_vs_one(x, labels, 1e-13, KernelSpec("linear"))
+        assert model.support_vectors.shape == (0, 2)
+        assert all(m.alpha_signed.size == 0 for m in model.machines.values())
+        voted = []
+        real = svm_module._vote
+        monkeypatch.setattr(
+            svm_module, "_vote", lambda values, *rest: voted.append(values) or real(values, *rest)
+        )
+        predict(model, x[:5])
+        want = [np.full(5, m.bias) for m in model.machines.values()]
+        assert voted[0].tobytes() == np.asarray(want).tobytes()
 
 
 class TestModelSelect:
@@ -786,19 +829,18 @@ class TestModelSelect:
 
 
 def stub_model():
-    """Three classes, two gaussian machines of one support vector each;
-    every float in the file is distinct, so a test can find and replace
-    it by its bytes."""
+    """Three classes, gaussian kernel, three support vectors; machine
+    (0, 2) keeps none and (1, 2) keeps two.  Every float in the file is
+    distinct, so a test can find and replace it by its bytes."""
+    spec = KernelSpec("gaussian", 5.0)
     machines = {
-        (0, 1): BinarySvm(
-            np.array([[23.0, 29.0]]), np.array([19.0]), 17.0, KernelSpec("gaussian", 13.0), 11.0
-        ),
-        (1, 2): BinarySvm(
-            np.array([[59.0, 61.0]]), np.array([67.0]), 71.0, KernelSpec("gaussian", 47.0), 53.0
-        ),
+        (0, 1): BinarySvm(np.array([0]), np.array([19.0]), 17.0, spec, 3.0),
+        (0, 2): BinarySvm(np.array([], np.intp), np.array([]), 13.0, spec, 3.0),
+        (1, 2): BinarySvm(np.array([1, 2]), np.array([67.0, 11.0]), 71.0, spec, 3.0),
     }
     standardizer = Standardizer(np.array([31.0, 37.0]), np.array([41.0, 43.0]))
-    return SvmModel(["a", "b", "c"], machines, standardizer, 3.0, KernelSpec("gaussian", 5.0))
+    support_vectors = np.array([[23.0, 29.0], [59.0, 61.0], [47.0, 53.0]])
+    return SvmModel(["a", "b", "c"], machines, support_vectors, standardizer, 3.0, spec)
 
 
 def f8(value):
@@ -809,24 +851,32 @@ def pair(a, b):
     return struct.pack("<II", a, b)
 
 
+def machine_12(*support):
+    """Machine (1, 2) of stub_model's file up to its alphas, with the
+    given support indices."""
+    return pair(1, 2) + f8(71.0) + struct.pack(f"<Q{len(support)}Q", len(support), *support)
+
+
 # case: (bytes of stub_model's file, replacement that load_model must refuse)
 MALFORMED = {
+    "version_1": (b"HSVM\x02\x00\x00\x00", b"HSVM\x01\x00\x00\x00"),
     "class_name_not_utf8": (b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00\xff"),
     "nan_mean": (f8(37.0), f8(np.nan)),
     "inf_std": (f8(41.0), f8(np.inf)),
     "zero_std": (f8(43.0), f8(0.0)),
     "nan_model_c": (f8(3.0), f8(np.nan)),
+    "negative_model_c": (f8(3.0), f8(-1.0)),
     "nan_model_sigma": (f8(5.0), f8(np.nan)),
-    "inf_machine_c": (f8(11.0), f8(np.inf)),
-    "negative_machine_c": (f8(53.0), f8(-1.0)),
-    "nan_machine_sigma": (f8(13.0), f8(np.nan)),
     "nan_bias": (f8(17.0), f8(np.nan)),
     "nan_alpha": (f8(19.0), f8(np.nan)),
     "inf_support_vector": (f8(29.0), f8(-np.inf)),
     "pair_beyond_classes": (pair(1, 2), pair(1, 7)),
     "pair_not_ascending": (pair(1, 2), pair(2, 1)),
     "repeated_pair": (pair(1, 2), pair(0, 1)),
-    "trailing_byte": (f8(61.0), f8(61.0) + b"\x00"),   # 61.0 ends the file
+    "support_index_beyond_rows": (machine_12(1, 2), machine_12(1, 3)),
+    "repeated_support_index": (machine_12(1, 2), machine_12(1, 1)),
+    "descending_support_index": (machine_12(1, 2), machine_12(2, 1)),
+    "trailing_byte": (f8(11.0), f8(11.0) + b"\x00"),   # 11.0 ends the file
 }
 
 
@@ -846,7 +896,9 @@ class TestModelPersistence:
         rng = np.random.default_rng(42)
         probes = rng.normal(2.0, 3.0, (50, 2))
         np.testing.assert_array_equal(predict(loaded, probes), predict(model, probes))
+        assert loaded.support_vectors.tobytes() == model.support_vectors.tobytes()
         for pair in model.machines:
+            np.testing.assert_array_equal(loaded.machines[pair].support, model.machines[pair].support)
             np.testing.assert_array_equal(
                 loaded.machines[pair].alpha_signed, model.machines[pair].alpha_signed
             )
@@ -884,8 +936,41 @@ class TestModelPersistence:
         path = tmp_path / "model.svm"
         save_model(path, stub_model())
         loaded = load_model(path)
-        assert sorted(loaded.machines) == [(0, 1), (1, 2)]
+        assert sorted(loaded.machines) == [(0, 1), (0, 2), (1, 2)]
         assert predict(loaded, np.array([[31.0, 37.0]])).shape == (1,)
+        save_model(tmp_path / "again.svm", loaded)
+        assert (tmp_path / "again.svm").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, tmp_path, n_classes):
+        stub = stub_model()
+        model = SvmModel(
+            stub.classes[:n_classes], {}, stub.support_vectors, stub.standardizer, 3.0, stub.kernel
+        )
+        path = tmp_path / "model.svm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="at least two classes"):
+            load_model(path)
+
+    def test_featureless_model_rejected(self, tmp_path):
+        """With no features the support matrix has no bytes, so its row
+        count alone could claim any size."""
+        model = stub_model()
+        model.standardizer = Standardizer(np.zeros(0), np.zeros(0))
+        model.support_vectors = np.zeros((2**40, 0))
+        path = tmp_path / "model.svm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="one feature"):
+            load_model(path)
+
+    def test_missing_machine_rejected(self, tmp_path):
+        """A 3-class model needs all three pair machines."""
+        model = stub_model()
+        del model.machines[(0, 2)]
+        path = tmp_path / "model.svm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="2 machines for 3 classes"):
+            load_model(path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_rejected(self, tmp_path, case):
