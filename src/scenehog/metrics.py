@@ -17,6 +17,7 @@ from .errors import ConfigError, ProtocolError
 
 __all__ = [
     "map_score",
+    "map_score_codes",
     "confusion_counts",
     "column_normalize",
     "WilcoxonResult",
@@ -28,23 +29,38 @@ def map_score(y_true, y_pred, *, classes: list[str] | None = None) -> float:
     """Mean over classes of per predicted class precision.
 
     classes fixes the set (and count) of classes to average over; by
-    default it is the sorted union of true and predicted labels.
+    default it is the sorted union of true and predicted labels.  A
+    label outside classes counts for no class.
     """
-    y_true = np.asarray([str(v) for v in y_true])
-    y_pred = np.asarray([str(v) for v in y_pred])
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
+    y_true = [str(v) for v in y_true]
+    y_pred = [str(v) for v in y_pred]
+    if len(y_true) != len(y_pred):
         raise ConfigError("y_true and y_pred must be 1-D and of equal length")
-    if y_true.size == 0:
+    if not y_true:
         raise ConfigError("empty label vectors")
     if classes is None:
         classes = sorted(set(y_true) | set(y_pred))
+    index = {name: k for k, name in enumerate(classes)}
+    if len(index) != len(classes):
+        raise ConfigError("classes must be distinct")
+    n = len(classes)
+    true = np.asarray([index.get(v, n) for v in y_true], dtype=np.intp)
+    pred = np.asarray([index.get(v, n) for v in y_pred], dtype=np.intp)
+    return map_score_codes(true, pred, n)
+
+
+def map_score_codes(true: np.ndarray, pred: np.ndarray, n_classes: int) -> float:
+    """map_score on class indices: true and pred hold integers in
+    0 .. n_classes, where n_classes stands for a label outside the class
+    list.  The per class precisions are added in class order."""
+    bins = n_classes + 1
+    predicted = np.bincount(pred, minlength=bins)[:n_classes].tolist()
+    hits = np.bincount(pred[true == pred], minlength=bins)[:n_classes].tolist()
     total = 0.0
-    for name in classes:
-        predicted = y_pred == name
-        n_predicted = int(predicted.sum())
+    for n_hit, n_predicted in zip(hits, predicted):
         if n_predicted:
-            total += float((y_true[predicted] == name).sum()) / n_predicted
-    return total / len(classes)
+            total += float(n_hit) / n_predicted
+    return total / n_classes
 
 
 def confusion_counts(y_true, y_pred, classes: list[str]) -> np.ndarray:

@@ -33,7 +33,7 @@ from .evaluation import EvalReport, run_protocol
 from .hog import HogConfig, hog
 from .pooling import FeatureVector, PoolConfig, pool
 from .store import write_pgm
-from .svm import default_sigma_grid
+from .svm import KernelSpec, default_sigma_grid
 from .tfr import CqtConfig, cqt, mean_filter, to_image
 from .util import parallel_map
 
@@ -105,6 +105,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in ("signed", "unsigned", "both"):
             raise ConfigError(f"variant must be signed|unsigned|both, got {self.variant!r}")
         if self.kernel not in ("linear", "gaussian"):
@@ -190,6 +192,8 @@ class RunConfig:
             raise ConfigError(f"bad sigma_grid {self.sigma_grid!r}") from exc
         if not values or not all(0 < v < math.inf for v in values):
             raise ConfigError("sigma_grid values must be positive and finite")
+        for v in values:
+            KernelSpec("gaussian", v)  # refuses a sigma whose 2 sigma^2 is unusable
         return values
 
     # -- serialisation ----------------------------------------------------

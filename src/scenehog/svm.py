@@ -12,10 +12,12 @@ and evaluate the same floating point operations, so a model does not
 depend on which loop trained it.  A solve that stops short of its KKT
 tolerance raises TrainingError.  Multiclass problems are handled one
 against one with majority voting; each pair's Gram is sliced from one
-kernel matrix per training set (per half and sigma in model selection,
-with one block against the validation half, both reused across the
-whole C grid).  A model stores the training rows its machines use once,
-and predict scores every machine from one kernel block against them.
+kernel matrix per training set.  Model selection computes the
+sigma-free base of the learning half's matrix and of its block against
+the validation half once per half, maps both per sigma (kernel_matrix's
+own map, so the same bits), and reuses them across the whole C grid.
+A model stores the training rows its machines use once, and predict
+scores every machine from one kernel block against them.
 
 Every solve also returns a certificate of what it compared against C:
 the largest alpha it held, the smallest value it compared above atol,
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError, TrainingError
-from .metrics import map_score
+from .metrics import map_score_codes
 from .util import atomic_write_bytes, rng_from, split_by_class
 
 __all__ = [
@@ -76,7 +78,8 @@ class KernelSpec:
 
     kind   "linear" (dot product) or "gaussian"
            (exp(-||x - z||^2 / (2 sigma^2)))
-    sigma  bandwidth, required positive for the gaussian kernel
+    sigma  bandwidth, required positive for the gaussian kernel, with
+           2 sigma^2 a positive finite float
     """
 
     kind: str = "linear"
@@ -87,8 +90,19 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if not math.isfinite(self.sigma):
             raise ConfigError(f"kernel sigma must be finite, got {self.sigma}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ConfigError("gaussian kernel needs sigma > 0")
+        if self.kind == "gaussian":
+            if self.sigma <= 0:
+                raise ConfigError("gaussian kernel needs sigma > 0")
+            # the divisor of _kernel_map; a float's ** raises on overflow
+            try:
+                width = 2.0 * float(self.sigma) ** 2
+            except OverflowError:
+                width = math.inf
+            if not 0.0 < width < math.inf:
+                raise ConfigError(
+                    f"gaussian kernel sigma {self.sigma} gives 2 sigma^2 = {width}, "
+                    "not a positive finite float"
+                )
 
 
 def kernel_matrix(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -97,7 +111,14 @@ def kernel_matrix(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if x.shape[1] != z.shape[1]:
         raise ConfigError(f"dimension mismatch: {x.shape[1]} vs {z.shape[1]}")
-    if spec.kind == "linear":
+    return _kernel_map(_kernel_base(x, z, spec.kind), spec)
+
+
+def _kernel_base(x: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
+    """The sigma-free block of a kernel matrix of float64 rows: x @ z.T
+    for the linear kernel, the squared distances ||x_i - z_j||^2
+    (clamped at 0) for the gaussian one."""
+    if kind == "linear":
         return x @ z.T
     sq = (
         np.sum(x * x, axis=1)[:, None]
@@ -105,7 +126,15 @@ def kernel_matrix(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> np.ndarray:
         - 2.0 * (x @ z.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    return sq
+
+
+def _kernel_map(base: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The kernel matrix of spec from its _kernel_base block, which
+    stays unchanged: base itself for the linear kernel."""
+    if spec.kind == "linear":
+        return base
+    return np.exp(-base / (2.0 * spec.sigma**2))
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +695,7 @@ def model_select(
         sigmas = [float(s) for s in sigma_grid]
     else:
         raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
+    specs = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s) for s in sigmas]
     # (C index, sigma index), in the order candidates are preferred on ties
     candidates = sorted(
         ((ci, si) for ci in range(len(c_values)) for si in range(len(sigmas))),
@@ -685,23 +715,24 @@ def model_select(
         return c_values[ci], sigmas[si], 0.0
 
     # Every candidate trains the same pair machines on the same rows, so
-    # one kernel matrix over the learning half and one block against the
-    # validation half are computed per half and sigma; each pair's Gram
-    # and validation block are row slices of them, shared by the whole C
-    # grid.  The grid is walked in ascending C so each machine can take
-    # over the solve at the C below it (train_binary's prior); a machine
-    # that did keeps that solve's decision values.
+    # the sigma-free blocks of the learning half and of it against the
+    # validation half are computed once per half, and each sigma maps
+    # them to its kernel matrices; each pair's Gram and validation block
+    # are row slices of those, shared by the whole C grid.  The grid is
+    # walked in ascending C so each machine can take over the solve at
+    # the C below it (train_binary's prior); a machine that did keeps
+    # that solve's decision values.  Validation is scored on class indices.
     c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
-    names = np.asarray(classes)
+    codes = np.searchsorted(np.asarray(classes), labels)
     totals = np.zeros((len(c_values), len(sigmas)))
     for learn_idx, val_idx in halves:
-        x_learn, x_val, val_labels = x[learn_idx], x[val_idx], labels[val_idx]
+        x_learn, x_val, val_codes = x[learn_idx], x[val_idx], codes[val_idx]
         split = list(_class_pairs(labels[learn_idx], classes))
         pairs = [pair for pair, _, _ in split]
-        for si, sigma in enumerate(sigmas):
-            spec = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
-            gram = kernel_matrix(x_learn, x_learn, spec)
-            cross = kernel_matrix(x_learn, x_val, spec)
+        base_gram = _kernel_base(x_learn, x_learn, kernel_kind)
+        base_cross = _kernel_base(x_learn, x_val, kernel_kind)
+        for si, spec in enumerate(specs):
+            gram, cross = _kernel_map(base_gram, spec), _kernel_map(base_cross, spec)
             values = np.empty((len(c_values), len(pairs), val_idx.size))
             for p, (_, rows, y) in enumerate(split):
                 xr, gram_r, cross_r = x_learn[rows], gram[np.ix_(rows, rows)], cross[rows]
@@ -716,8 +747,8 @@ def model_select(
                         values[ci, p] = _decision(machine, cross_r)
                     last = ci
             for ci in range(len(c_values)):
-                pred = names[_vote(values[ci], pairs, len(classes))]
-                totals[ci, si] += map_score(val_labels, pred, classes=classes)
+                pred = _vote(values[ci], pairs, len(classes))
+                totals[ci, si] += map_score_codes(val_codes, pred, len(classes))
 
     best, best_score = candidates[0], -1.0
     for ci, si in candidates:

@@ -9,7 +9,7 @@ from scenehog import (
 )
 from scenehog.errors import ConfigError, ProtocolError
 
-from oracles import wilcoxon_oracle
+from oracles import map_score_oracle, wilcoxon_oracle
 
 
 class TestMapScore:
@@ -47,6 +47,26 @@ class TestMapScore:
             map_score(["a"], ["a", "b"])
         with pytest.raises(ConfigError):
             map_score([], [])
+
+    def test_repeated_class_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            map_score(["a"], ["a"], classes=["a", "b", "a"])
+
+    @pytest.mark.parametrize("trial", range(25))
+    def test_matches_per_class_loop_oracle(self, trial):
+        """Bit for bit, with true and predicted labels outside the class
+        list and classes that are never predicted."""
+        rng = np.random.default_rng(trial)
+        classes = [f"c{k:02d}" for k in range(int(rng.integers(2, 20)))]
+        outside = ["zz", "c99"]
+        n = int(rng.integers(1, 120))
+        y_true = [str(v) for v in rng.choice(classes + outside, n)]
+        y_pred = [str(v) for v in rng.choice(classes[: len(classes) // 2 + 1] + outside, n)]
+        assert map_score(y_true, y_pred, classes=classes) == map_score_oracle(
+            y_true, y_pred, classes
+        )
+        union = sorted(set(y_true) | set(y_pred))
+        assert map_score(y_true, y_pred) == map_score_oracle(y_true, y_pred, union)
 
 
 class TestConfusion:

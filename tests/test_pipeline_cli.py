@@ -88,6 +88,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{key} values must be positive and finite"):
             RunConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize("value", ["1e200", "1,1e-200"])
+    def test_sigma_without_positive_finite_width_rejected(self, value):
+        with pytest.raises(ConfigError, match="2 sigma"):
+            RunConfig(sigma_grid=value).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig(seed=-1).validate()
+        RunConfig(seed=0).validate()
+
     def test_f_max_capped_to_clip_nyquist(self):
         cfg = small_config()
         clips = generate_toy(cfg)
@@ -412,6 +422,40 @@ class TestCli:
         assert rc == 2
         assert "must be positive and finite" in err
         assert not (root / "refused.txt").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_experiment_refuses_sigma_without_positive_finite_width(
+        self, toy_workspace, capsys, sigma
+    ):
+        """1e200 overflowed 2 sigma^2 in a traceback (exit 4); 1e-200
+        underflowed it to 0, and the run exited 0 with a NaN Gram."""
+        root, cfg_file = toy_workspace
+        rc, _, err = run_cli(
+            capsys, "experiment", "--config", cfg_file, "--features", root / "toy.features",
+            "--report", root / "refused.txt", "--set", "kernel=gaussian",
+            "--set", f"sigma_grid={sigma}",
+        )
+        assert rc == 2
+        assert "2 sigma^2" in err
+        assert not (root / "refused.txt").exists()
+
+    def test_experiment_refuses_negative_seed(self, toy_workspace, capsys):
+        root, cfg_file = toy_workspace
+        rc, _, err = run_cli(
+            capsys, "experiment", "--config", cfg_file, "--features", root / "toy.features",
+            "--report", root / "refused.txt", "--set", "seed=-1",
+        )
+        assert rc == 2
+        assert "seed must be >= 0" in err
+        assert not (root / "refused.txt").exists()
+
+    def test_toygen_refuses_negative_seed(self, tmp_path, capsys):
+        rc, _, err = run_cli(
+            capsys, "toygen", "--set", "n_per_class=2", "--set", "seed=-1", "--out", tmp_path / "d"
+        )
+        assert rc == 2
+        assert "seed must be >= 0" in err
+        assert not (tmp_path / "d").exists()
 
     def test_compare_identical_reports_degenerate(self, toy_workspace, capsys):
         root, _ = toy_workspace

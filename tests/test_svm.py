@@ -89,6 +89,36 @@ class TestKernelMatrix:
         with pytest.raises(ConfigError, match="finite"):
             KernelSpec(kind, sigma=sigma)
 
+    # 1e200 ** 2 raises OverflowError, 2 * 1.3e154 ** 2 rounds to inf,
+    # 1e-200 ** 2 underflows to 0 (a NaN Gram diagonal)
+    @pytest.mark.parametrize(
+        "sigma", [1e200, 1.3e154, 1e-200, np.float64(1e200)],
+        ids=["1e200", "1.3e154", "1e-200", "float64-1e200"],
+    )
+    def test_sigma_without_positive_finite_width_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="2 sigma\\^2"):
+            KernelSpec("gaussian", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
+    def test_extreme_usable_sigma_accepted(self, sigma):
+        x = np.array([[0.0, 1.0], [2.0, 3.0]])
+        k = kernel_matrix(x, x, KernelSpec("gaussian", sigma=sigma))
+        assert np.all(np.diag(k) == 1.0)
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_composed_of_base_block_and_map(self, kind):
+        """kernel_matrix is _kernel_map of _kernel_base, bit for bit,
+        and mapping leaves the base block as it was."""
+        rng = np.random.default_rng(3)
+        x, z = rng.standard_normal((7, 5)), rng.standard_normal((4, 5))
+        base = svm_module._kernel_base(x, z, kind)
+        before = base.copy()
+        for sigma in (0.5, 2.0, 9.0):
+            spec = KernelSpec(kind, sigma)
+            mapped = svm_module._kernel_map(base, spec)
+            assert mapped.tobytes() == kernel_matrix(x, z, spec).tobytes()
+        assert base.tobytes() == before.tobytes()
+
 
 class TestStandardizer:
     def test_train_statistics_removed(self):
@@ -812,20 +842,82 @@ class TestModelSelect:
         assert len(calls) == 3 * n_sigma * 3 * 6   # |C| |sigma| halves pairs
 
     @pytest.mark.parametrize(
-        "kernel_kind, sigma_grid, n_sigma", [("linear", (1.0, 2.0), 1), ("gaussian", (1.0, 2.0), 2)]
+        "kernel_kind, sigma_grid",
+        [("linear", (1.0, 2.0)), ("gaussian", (1.0, 2.0)), ("gaussian", (0.5, 1.0, 2.0, 4.0, 8.0))],
     )
-    def test_two_kernel_matrices_per_half_and_sigma(
-        self, monkeypatch, kernel_kind, sigma_grid, n_sigma
-    ):
-        """One Gram of the learning half and one block against the
-        validation half; every pair slices its rows out of them."""
-        calls = count_calls(monkeypatch, "kernel_matrix")
+    def test_two_base_blocks_per_half(self, monkeypatch, kernel_kind, sigma_grid):
+        """One sigma-free block of the learning half and one against the
+        validation half, for any number of sigma values; each sigma only
+        maps them, and no kernel matrix is computed from scratch."""
+        bases = count_calls(monkeypatch, "_kernel_base")
+        grams = count_calls(monkeypatch, "kernel_matrix")
         x, labels = four_blobs()
         model_select(
             x, labels, kernel_kind, c_grid=np.array([0.1, 1.0, 10.0]),
             sigma_grid=sigma_grid, n_resample=3, seed=2,
         )
-        assert len(calls) == 2 * n_sigma * 3   # Gram and block, |sigma|, halves
+        assert len(bases) == 2 * 3   # Gram and block, halves
+        assert not grams
+
+    @pytest.mark.parametrize("kernel_kind", ["linear", "gaussian"])
+    def test_blocks_bit_identical_to_kernel_matrix(self, monkeypatch, kernel_kind):
+        """Every pair Gram handed to train_binary and every validation
+        block handed to _decision is the slice of kernel_matrix over the
+        learning half, bit for bit, at every sigma of the default grid."""
+        x, labels = four_blobs()
+        events = []
+        real_base, real_train, real_decision = (
+            svm_module._kernel_base, svm_module.train_binary, svm_module._decision
+        )
+
+        def base(a, b, kind):
+            events.append(("base", a, b))
+            return real_base(a, b, kind)
+
+        def train(xr, y, c, spec, **kwargs):
+            events.append(("gram", xr, spec, kwargs["gram"]))
+            return real_train(xr, y, c, spec, **kwargs)
+
+        def decision(machine, k):
+            events.append(("cross", k))
+            return real_decision(machine, k)
+
+        monkeypatch.setattr(svm_module, "_kernel_base", base)
+        monkeypatch.setattr(svm_module, "train_binary", train)
+        monkeypatch.setattr(svm_module, "_decision", decision)
+        model_select(x, labels, kernel_kind, n_resample=2, seed=4)
+        monkeypatch.undo()
+
+        count = {"base": 0, "gram": 0, "cross": 0}
+        specs = set()
+        for kind, *args in events:
+            count[kind] += 1
+            if kind == "base":
+                a, b = args
+                if a is b:
+                    x_learn = a
+                else:
+                    x_val = b
+            elif kind == "gram":
+                xr, spec, gram = args
+                rows = np.asarray([np.flatnonzero((x_learn == r).all(axis=1))[0] for r in xr])
+                want = kernel_matrix(x_learn, x_learn, spec)[np.ix_(rows, rows)]
+                assert gram.tobytes() == want.tobytes()
+                specs.add(spec)
+            else:
+                assert args[0].tobytes() == kernel_matrix(x_learn, x_val, spec)[rows].tobytes()
+        n_sigma = 1 if kernel_kind == "linear" else len(svm_module.default_sigma_grid())
+        assert count["base"] == 2 * 2 and len(specs) == n_sigma
+        assert count["gram"] == 2 * n_sigma * 10 * 6   # halves, |sigma|, |C|, pairs
+        assert 0 < count["cross"] <= count["gram"]
+
+    def test_unusable_sigma_refused_before_training(self, monkeypatch):
+        calls = count_calls(monkeypatch, "train_binary")
+        x, labels = four_blobs()
+        for sigma in (1e200, 1e-200):
+            with pytest.raises(ConfigError, match="2 sigma"):
+                model_select(x, labels, "gaussian", sigma_grid=(1.0, sigma), seed=2)
+        assert not calls
 
 
 def stub_model():
@@ -867,6 +959,8 @@ MALFORMED = {
     "nan_model_c": (f8(3.0), f8(np.nan)),
     "negative_model_c": (f8(3.0), f8(-1.0)),
     "nan_model_sigma": (f8(5.0), f8(np.nan)),
+    "overflowing_model_sigma": (f8(5.0), f8(1e200)),
+    "underflowing_model_sigma": (f8(5.0), f8(1e-200)),
     "nan_bias": (f8(17.0), f8(np.nan)),
     "nan_alpha": (f8(19.0), f8(np.nan)),
     "inf_support_vector": (f8(29.0), f8(-np.inf)),
