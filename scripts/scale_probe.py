@@ -6,10 +6,13 @@ the script generates the ``perfbench/scenes19.py`` set at seed 1
 config with one worker, and runs one split of the evaluation protocol
 on it: linear kernel, ``train_frac`` 0.8, default C grid and five
 resampled halves.  Features go through float32 first, as they do on
-their way through a feature file to ``scenehog experiment``.  It prints
-one tab separated line per size:
+their way through a feature file to ``scenehog experiment``.  It then
+writes the set out as WAV files and runs ``scenehog extract`` on them in
+a child process under the same config and worker count, whose peak
+resident memory is ``extract_rss_mb``.  It prints one tab separated
+line per size:
 
-    clips_per_class  rows  extract_s  split_s  map  c
+    clips_per_class  rows  extract_s  split_s  map  c  extract_rss_mb
 
 The benchmark workloads use 8 clips per class.  The source paper's set
 has about 160, and from about 40 on evaluation costs more than
@@ -24,7 +27,9 @@ class).  Run from anywhere:
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,17 +39,39 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+PATHS = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = PATHS
 
-from scenehog import RunConfig, extract_clips, run_protocol  # noqa: E402
+from scenehog import RunConfig, extract_clips, run_protocol, write_wav  # noqa: E402
 from scenes19 import make_scenes19  # noqa: E402
 
 DEFAULT_SIZES = (8, 40, 80)
 SEED = 1
 
+# `scenehog extract` in a fresh process, then its own peak RSS in MB on
+# the last stdout line; benchmark and probe read it the same way.
+EXTRACT_CHILD = """
+import sys
+from scenehog.cli import main
+from worker import _peak_rss_mb
+rc = main(sys.argv[1:])
+print(_peak_rss_mb())
+sys.exit(rc)
+"""
 
-def probe(n_per_class: int) -> tuple[int, float, float, float, float]:
-    """(rows, extraction s, split s, MAP, chosen C)."""
+
+def extract_rss_mb(data: Path, out: Path) -> float:
+    """Peak resident MB of a child `scenehog extract --data data --out out`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXTRACT_CHILD, "extract", "--data", str(data), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout.splitlines()[-1])
+
+
+def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float, float]:
+    """(rows, extraction s, split s, MAP, chosen C, extract peak RSS MB)."""
     clips = make_scenes19(SEED, n_per_class)
     start = time.perf_counter()
     x, labels, _, _ = extract_clips(clips, RunConfig())
@@ -53,7 +80,12 @@ def probe(n_per_class: int) -> tuple[int, float, float, float, float]:
     start = time.perf_counter()
     report = run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
     split_s = time.perf_counter() - start
-    return x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0])
+    data = work / f"scenes19-{n_per_class}"
+    for clip in clips:
+        write_wav(data / clip.label / f"{clip.source_id}.wav", clip)
+    del clips  # let the child decode the set without this copy alongside
+    rss_mb = extract_rss_mb(data, work / f"scenes19-{n_per_class}.features")
+    return x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0]), rss_mb
 
 
 def main(argv: list[str]) -> int:
@@ -64,10 +96,14 @@ def main(argv: list[str]) -> int:
     if not sizes or min(sizes) < 5:
         print("usage: scale_probe.py [CLIPS_PER_CLASS ...]  (each at least 5)", file=sys.stderr)
         return 2
-    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc")
+    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb")
     for n in sizes:
-        rows, extract_s, split_s, score, c = probe(n)
-        print(f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}", flush=True)
+        with tempfile.TemporaryDirectory(prefix="scale_probe.") as work:
+            rows, extract_s, split_s, score, c, rss_mb = probe(n, Path(work))
+        print(
+            f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}\t{rss_mb:.1f}",
+            flush=True,
+        )
     return 0
 
 

@@ -24,7 +24,7 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .audio import read_wav, write_wav
+from .audio import write_wav
 from .errors import ConfigError, DataError, DatasetError, ScenehogError
 from .evaluation import read_report, stratified_split, write_report
 from .metrics import column_normalize, wilcoxon_signed_rank
@@ -117,16 +117,11 @@ def cmd_toygen(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = parse_config_file(args.config, args.overrides)
-    # refuse a bad worker count before decoding the whole dataset
+    # a bad worker count is a config error even when the dataset is unusable
     check_threads(args.threads)
     scan = scan_dataset(args.data)
-    clips = []
-    for path, label, source_id in scan.entries:
-        clip = read_wav(path, label=label)
-        clip.source_id = source_id
-        clips.append(clip)
     x, labels, ids, timing = extract_clips(
-        clips, cfg, threads=args.threads, dump_images=args.dump_images
+        scan, cfg, threads=args.threads, dump_images=args.dump_images
     )
     write_features(args.out, x, labels, cfg.extraction_hash())
     _emit("rows", x.shape[0])

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,7 +310,7 @@ def extract_clip(
 
 
 def extract_clips(
-    clips: list[AudioClip],
+    clips: Sequence[AudioClip],
     cfg: RunConfig,
     *,
     threads: int = 1,
@@ -317,29 +318,37 @@ def extract_clips(
 ) -> tuple[np.ndarray, list[str], list[str], dict[str, float]]:
     """Extract all clips; returns (matrix, labels, source ids, timings).
 
-    Clips are independent, so the result is the same for any thread
-    count; rows follow the input order.  dump_images is passed on to
-    extract_clip, giving one PGM per row.
+    Rows follow the input order: one per clip, or with seg_seconds > 0
+    one per segment of each clip in turn.  Clips are independent, so the
+    result is the same for any thread count.  Each worker takes
+    clips[i] itself and lets go of it once that clip's rows are done, so
+    a sequence that decodes on access, such as a DatasetScan, has at
+    most `threads` decoded clips in memory at a time, and a clip that
+    cannot be read fails the call with its own error when its turn
+    comes.  dump_images is passed on to extract_clip, giving one PGM
+    per row.
     """
     cfg.validate()
-    if cfg.seg_seconds > 0:
-        expanded = []
-        for clip in clips:
-            expanded.extend(segment(clip, cfg.seg_seconds))
-        clips = expanded
-    if not clips:
-        raise ConfigError("no clips to extract")
 
-    results = parallel_map(
-        lambda clip: extract_clip(clip, cfg, dump_images=dump_images), clips, threads
-    )
-    dims = {fv.dim for fv, _ in results}
+    def rows_of(i: int) -> list:
+        clip = clips[i]
+        parts = segment(clip, cfg.seg_seconds) if cfg.seg_seconds > 0 else [clip]
+        return [
+            (*extract_clip(part, cfg, dump_images=dump_images), part.label, part.source_id)
+            for part in parts
+        ]
+
+    per_clip = parallel_map(rows_of, range(len(clips)), threads)
+    results = [row for rows in per_clip for row in rows]
+    if not results:
+        raise ConfigError("no clips to extract")
+    dims = {fv.dim for fv, _, _, _ in results}
     if len(dims) != 1:
         raise ConfigError(f"inconsistent feature dimensions: {sorted(dims)}")
-    x = np.vstack([fv.values for fv, _ in results])
-    labels = [clip.label if clip.label is not None else "?" for clip in clips]
-    ids = [clip.source_id for clip in clips]
-    totals = {name: sum(timing[name] for _, timing in results) for name in results[0][1]}
+    x = np.vstack([fv.values for fv, _, _, _ in results])
+    labels = [label if label is not None else "?" for _, _, label, _ in results]
+    ids = [source_id for _, _, _, source_id in results]
+    totals = {name: sum(t[name] for _, t, _, _ in results) for name in results[0][1]}
     return x, labels, ids, totals
 
 

@@ -9,11 +9,13 @@ sidecar next to the matrix, one class name per line.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .audio import AudioClip, read_wav
 from .errors import DatasetError, FormatError
 from .util import atomic_write_bytes, atomic_write_text
 
@@ -102,17 +104,30 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
 
 
 @dataclass
-class DatasetScan:
-    """Result of scanning a class-per-subdirectory dataset root.
+class DatasetScan(Sequence):
+    """The clips of a class-per-subdirectory dataset root, read on demand.
 
     entries  (path, label, source_id) sorted by class then file path;
              source ids are the paths below the root, so duplicate file
              names in different directories stay distinct
     skipped  count of non WAV files that were ignored
+
+    len(scan) is the number of entries.  scan[i] decodes entry i with
+    read_wav on every access and tags it with its label and source id;
+    the scan itself holds no samples.
     """
 
     entries: list[tuple[Path, str, str]]
     skipped: int
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> AudioClip:
+        path, label, source_id = self.entries[i]
+        clip = read_wav(path, label=label)
+        clip.source_id = source_id
+        return clip
 
     @property
     def classes(self) -> list[str]:

@@ -695,6 +695,10 @@ def model_select(
         sigmas = [float(s) for s in sigma_grid]
     else:
         raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
+    if not c_values:
+        raise ConfigError("c_grid is empty")
+    if not sigmas:
+        raise ConfigError("sigma_grid is empty")
     specs = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s) for s in sigmas]
     # (C index, sigma index), in the order candidates are preferred on ties
     candidates = sorted(

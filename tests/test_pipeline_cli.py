@@ -6,12 +6,14 @@ import subprocess
 import sys
 import threading
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scenehog import (
+    AudioClip,
     RunConfig,
     extract_clip,
     extract_clips,
@@ -29,6 +31,7 @@ from scenehog import (
 )
 from scenehog import pipeline
 from scenehog import cli
+from scenehog import store
 from scenehog.cli import main
 from scenehog.errors import ConfigError
 from scenehog.tfr import cqt, mean_filter, to_image
@@ -39,6 +42,32 @@ SMALL = dict(f_min_hz=80.0, image_size=64, filter_size=3, cell_size=8, n_per_cla
 
 def small_config(**kw):
     return RunConfig(**{**SMALL, **kw})
+
+
+class LiveClips:
+    """A sequence that hands out a fresh copy of clips[i] on each access
+    and tracks, by weakref.finalize, how many copies are alive at once."""
+
+    def __init__(self, clips):
+        self.clips = clips
+        self.live = self.peak = 0
+        self.lock = threading.Lock()
+
+    def __len__(self):
+        return len(self.clips)
+
+    def __getitem__(self, i):
+        src = self.clips[i]
+        clip = AudioClip(src.samples.copy(), src.sample_rate_hz, src.label, src.source_id)
+        with self.lock:
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+        weakref.finalize(clip, self.release)
+        return clip
+
+    def release(self):
+        with self.lock:
+            self.live -= 1
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +241,34 @@ class TestExtraction:
         assert x.shape[0] == 8  # two 1 s clips in four 0.25 s pieces
         assert ids[0].endswith("#000") and ids[3].endswith("#003")
         assert labels[:4] == [clips[0].label] * 4
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_streams_at_most_threads_clips(self, threads):
+        cfg = small_config(n_per_class=4)
+        clips = generate_toy(cfg)
+        live = LiveClips(clips)
+        got = extract_clips(live, cfg, threads=threads)
+        want = extract_clips(clips, cfg, threads=threads)
+        assert 1 <= live.peak <= threads
+        assert live.live == 0
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:3] == want[1:3]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_segments_stream_like_eager_expansion(self, threads):
+        cfg = small_config(seg_seconds=0.3)
+        clips = generate_toy(cfg)
+        expanded = [part for clip in clips for part in segment(clip, cfg.seg_seconds)]
+        live = LiveClips(clips)
+        x, labels, ids, _ = extract_clips(live, cfg, threads=threads)
+        want_x, _, _, _ = extract_clips(expanded, small_config(), threads=threads)
+        assert live.peak <= threads
+        np.testing.assert_array_equal(x, want_x)
+        assert labels == [part.label for part in expanded]
+        assert ids == [part.source_id for part in expanded]
+        assert ids[:4] == [f"{clips[0].source_id}#{k:03d}" for k in range(3)] + [
+            f"{clips[1].source_id}#000"
+        ]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -530,19 +587,47 @@ class TestCli:
         rc, _, _ = run_cli(capsys, "toygen", "--set", "n_per_class=2", "--out", data)
         assert rc == 0
         decoded = []
-        real = cli.read_wav
+        real = store.read_wav
 
         def counted(*args, **kwargs):
             decoded.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "read_wav", counted)
+        monkeypatch.setattr(store, "read_wav", counted)
         rc, _, err = run_cli(
             capsys, "extract", "--threads", 0, "--data", data, "--out", tmp_path / "x.features",
         )
         assert rc == 2
         assert "threads" in err
         assert decoded == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_corrupt_wav_mid_dataset_exit_code(self, tmp_path, capsys, threads):
+        data = tmp_path / "data"
+        rc, _, _ = run_cli(capsys, "toygen", "--set", "n_per_class=3", "--out", data)
+        assert rc == 0
+        bad = scan_dataset(data).entries[3][0]
+        bad.write_bytes(b"RIFF\x00\x00\x00\x00JUNKJUNK")
+        out = tmp_path / "x.features"
+        rc, _, err = run_cli(
+            capsys, "extract", "--set", "image_size=64", "--set", "filter_size=3",
+            "--threads", threads, "--data", data, "--out", out,
+        )
+        assert rc == 3
+        assert err.startswith("scenehog: data error: ")
+        assert str(bad) in err
+        assert not out.exists()
+
+    def test_clips_shorter_than_one_segment_exit_code(self, toy_workspace, capsys, tmp_path):
+        root, cfg_file = toy_workspace
+        out = tmp_path / "x.features"
+        rc, _, err = run_cli(
+            capsys, "extract", "--config", cfg_file, "--set", "seg_seconds=2",
+            "--data", root / "data", "--out", out,
+        )
+        assert rc == 2
+        assert "no clips to extract" in err
+        assert not out.exists()
 
     def test_data_error_exit_code(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace

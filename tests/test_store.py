@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from scenehog import (
+    AudioClip,
     SplitManifest,
     read_features,
+    read_wav,
     scan_dataset,
     write_features,
     write_pgm,
+    write_wav,
 )
+from scenehog import store
 from scenehog.cli import main
 from scenehog.errors import DatasetError, FormatError
 
@@ -133,6 +137,27 @@ class TestScanDataset:
         scan = scan_dataset(tmp_path)
         assert [e[2] for e in scan.entries] == ["beach/a/x", "beach/b/x", "beach/x"]
         assert [e[1] for e in scan.entries] == ["beach"] * 3
+
+    def test_indexing_decodes_one_entry_per_access(self, tmp_path, monkeypatch):
+        for i, rel in enumerate(("beach/a/x", "beach/y", "park/z")):
+            write_wav(tmp_path / f"{rel}.wav", AudioClip(np.full(8, 0.25 * i), 8000))
+        decoded = []
+
+        def counted(path, label=None):
+            decoded.append(path)
+            return read_wav(path, label=label)
+
+        monkeypatch.setattr(store, "read_wav", counted)
+        scan = scan_dataset(tmp_path)
+        assert len(scan) == 3 and decoded == []
+        clip = scan[2]
+        assert decoded == [tmp_path / "park" / "z.wav"]
+        assert (clip.label, clip.source_id, clip.sample_rate_hz) == ("park", "park/z", 8000)
+        np.testing.assert_array_equal(clip.samples, 0.5)
+        assert scan[2] is not clip and len(decoded) == 2
+        assert [c.source_id for c in scan] == ["beach/a/x", "beach/y", "park/z"]
+        with pytest.raises(IndexError):
+            scan[3]
 
     def test_empty_root_rejected(self, tmp_path):
         with pytest.raises(DatasetError):

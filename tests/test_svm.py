@@ -919,6 +919,22 @@ class TestModelSelect:
                 model_select(x, labels, "gaussian", sigma_grid=(1.0, sigma), seed=2)
         assert not calls
 
+    @pytest.mark.parametrize(
+        "kind, grids, name",
+        [
+            ("linear", dict(c_grid=np.array([])), "c_grid"),
+            ("gaussian", dict(c_grid=[]), "c_grid"),
+            ("gaussian", dict(sigma_grid=()), "sigma_grid"),
+        ],
+    )
+    def test_empty_grid_refused_before_training(self, monkeypatch, kind, grids, name):
+        calls = count_calls(monkeypatch, "train_binary")
+        rng = np.random.default_rng(5)
+        x, labels = rng.standard_normal((12, 3)), ["a", "b", "c"] * 4
+        with pytest.raises(ConfigError, match=f"{name} is empty"):
+            model_select(x, labels, kind, seed=1, **grids)
+        assert not calls
+
 
 def stub_model():
     """Three classes, gaussian kernel, three support vectors; machine
