@@ -177,12 +177,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     report_a = read_report(args.report_a)
     report_b = read_report(args.report_b)
-    if report_a.n_splits != report_b.n_splits:
-        raise DataError(
-            f"split count mismatch: {report_a.n_splits} vs {report_b.n_splits}"
-        )
-    if report_a.seed != report_b.seed:
-        raise DataError(f"seed mismatch: {report_a.seed} vs {report_b.seed}")
+    # the paired test needs the same splits of the same rows
+    for key in ("n_splits", "seed", "classes", "n_train", "n_test"):
+        a, b = getattr(report_a, key), getattr(report_b, key)
+        if a != b:
+            raise DataError(f"{key} mismatch: {a} vs {b}")
     result = wilcoxon_signed_rank(report_a.per_split_map, report_b.per_split_map)
     _emit("map_mean_a", f"{report_a.map_mean:.6f}")
     _emit("map_mean_b", f"{report_b.map_mean:.6f}")

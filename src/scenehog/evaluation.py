@@ -16,8 +16,8 @@ import numpy as np
 
 from . import svm
 from .errors import ConfigError, DataError, FormatError, ProtocolError
-from .metrics import column_normalize, confusion_counts, map_score
-from .util import atomic_write_text, parallel_map, rng_from, split_by_class
+from .metrics import column_normalize, confusion_codes, map_score_codes
+from .util import atomic_write_text, class_codes, parallel_map, rng_from, split_by_class
 
 __all__ = [
     "EvalReport",
@@ -56,14 +56,13 @@ def stratified_split(
     remainder).  Every class must land at least one example in each
     half, otherwise the protocol is refused.
     """
-    labels = np.asarray([str(v) for v in labels])
-    classes = sorted(set(labels))
-    counts = np.asarray([int((labels == c).sum()) for c in classes])
+    classes, codes = class_codes(labels)
+    counts = np.bincount(codes, minlength=len(classes))
     if fixed_train_count is not None:
-        if not 0 < fixed_train_count < labels.size:
+        if not 0 < fixed_train_count < codes.size:
             raise ProtocolError(
                 f"fixed_train_count {fixed_train_count} out of range for "
-                f"{labels.size} examples"
+                f"{codes.size} examples"
             )
         n_train = _train_quota(counts, fixed_train_count)
     else:
@@ -81,7 +80,7 @@ def stratified_split(
         raise ProtocolError(
             "classes too small to appear in both halves: " + ", ".join(bad)
         )
-    return split_by_class(labels, n_train, rng_from(seed, split_index))
+    return split_by_class(codes, n_train, rng_from(seed, split_index))
 
 
 @dataclass
@@ -151,9 +150,10 @@ def run_protocol(
         raise DataError("features contain NaN or infinite values")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
-    classes = sorted(set(labels))
+    classes, codes = class_codes(labels)
     if len(classes) < 2:
         raise ProtocolError("evaluation needs at least two classes")
+    n_classes, names = len(classes), np.asarray(classes)
 
     def job(i: int):
         train_idx, test_idx = stratified_split(
@@ -170,11 +170,12 @@ def run_protocol(
         model = svm.train_one_vs_one(
             x_train, train_labels, c, spec, classes=classes, standardizer=scaler, tol=tol
         )
-        pred = svm.predict(model, x[test_idx])
-        test_labels = labels[test_idx]
+        # predict returns class names; they are sorted, so one search gives their indices
+        pred = np.searchsorted(names, svm.predict(model, x[test_idx]))
+        true = codes[test_idx]
         return (
-            map_score(test_labels, pred, classes=classes),
-            confusion_counts(test_labels, pred, classes),
+            map_score_codes(true, pred, n_classes),
+            confusion_codes(true, pred, n_classes),
             c, np.nan if sigma is None else sigma, train_idx.size, test_idx.size,
         )
 

@@ -18,11 +18,27 @@ from .errors import ConfigError, ProtocolError
 __all__ = [
     "map_score",
     "map_score_codes",
+    "confusion_codes",
     "confusion_counts",
     "column_normalize",
     "WilcoxonResult",
     "wilcoxon_signed_rank",
 ]
+
+
+def _class_index(classes) -> dict:
+    index = {name: k for k, name in enumerate(classes)}
+    if len(index) != len(classes):
+        raise ConfigError("classes must be distinct")
+    return index
+
+
+def _paired_names(y_true, y_pred) -> tuple[list[str], list[str]]:
+    y_true = [str(v) for v in y_true]
+    y_pred = [str(v) for v in y_pred]
+    if len(y_true) != len(y_pred):
+        raise ConfigError("y_true and y_pred must be 1-D and of equal length")
+    return y_true, y_pred
 
 
 def map_score(y_true, y_pred, *, classes: list[str] | None = None) -> float:
@@ -32,45 +48,63 @@ def map_score(y_true, y_pred, *, classes: list[str] | None = None) -> float:
     default it is the sorted union of true and predicted labels.  A
     label outside classes counts for no class.
     """
-    y_true = [str(v) for v in y_true]
-    y_pred = [str(v) for v in y_pred]
-    if len(y_true) != len(y_pred):
-        raise ConfigError("y_true and y_pred must be 1-D and of equal length")
+    y_true, y_pred = _paired_names(y_true, y_pred)
     if not y_true:
         raise ConfigError("empty label vectors")
     if classes is None:
         classes = sorted(set(y_true) | set(y_pred))
-    index = {name: k for k, name in enumerate(classes)}
-    if len(index) != len(classes):
-        raise ConfigError("classes must be distinct")
+    index = _class_index(classes)
     n = len(classes)
     true = np.asarray([index.get(v, n) for v in y_true], dtype=np.intp)
     pred = np.asarray([index.get(v, n) for v in y_pred], dtype=np.intp)
     return map_score_codes(true, pred, n)
 
 
-def map_score_codes(true: np.ndarray, pred: np.ndarray, n_classes: int) -> float:
+def map_score_codes(true: np.ndarray, pred: np.ndarray, n_classes: int) -> float | np.ndarray:
     """map_score on class indices: true and pred hold integers in
     0 .. n_classes, where n_classes stands for a label outside the class
-    list.  The per class precisions are added in class order."""
+    list.  The per class precisions are added in class order.
+
+    pred may also be 2-D, one row of predictions of true per candidate;
+    the result is then the array of each row's score.
+    """
+    rows = np.atleast_2d(pred)
     bins = n_classes + 1
-    predicted = np.bincount(pred, minlength=bins)[:n_classes].tolist()
-    hits = np.bincount(pred[true == pred], minlength=bins)[:n_classes].tolist()
-    total = 0.0
-    for n_hit, n_predicted in zip(hits, predicted):
-        if n_predicted:
-            total += float(n_hit) / n_predicted
-    return total / n_classes
+    # one bin per (row, class), plus each row's bin for outside labels
+    flat = (rows + bins * np.arange(rows.shape[0])[:, None]).ravel()
+    size = bins * rows.shape[0]
+    predicted = np.bincount(flat, minlength=size).reshape(-1, bins)[:, :n_classes]
+    hits = np.bincount(flat[(rows == true).ravel()], minlength=size)
+    hits = hits.reshape(-1, bins)[:, :n_classes]
+    scores = []
+    for hit_row, predicted_row in zip(hits.tolist(), predicted.tolist()):
+        total = 0.0
+        for n_hit, n_predicted in zip(hit_row, predicted_row):
+            if n_predicted:
+                total += float(n_hit) / n_predicted
+        scores.append(total / n_classes)
+    return scores[0] if np.ndim(pred) == 1 else np.asarray(scores)
+
+
+def confusion_codes(true: np.ndarray, pred: np.ndarray, n_classes: int) -> np.ndarray:
+    """Integer confusion matrix of class indices in 0 .. n_classes - 1,
+    true classes as rows and predictions as columns."""
+    flat = np.asarray(true, dtype=np.intp) * n_classes + np.asarray(pred, dtype=np.intp)
+    return np.bincount(flat, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def confusion_counts(y_true, y_pred, classes: list[str]) -> np.ndarray:
     """Integer confusion matrix with true classes as rows, predictions as
-    columns, both in the order of `classes`."""
-    index = {name: k for k, name in enumerate(classes)}
-    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        out[index[str(t)], index[str(p)]] += 1
-    return out
+    columns, both in the order of `classes`.  A label outside classes,
+    or a class listed twice, is refused with ConfigError."""
+    y_true, y_pred = _paired_names(y_true, y_pred)
+    index = _class_index(classes)
+    unknown = sorted(set(y_true + y_pred) - index.keys())
+    if unknown:
+        raise ConfigError(f"labels outside the class list: {unknown}")
+    true = np.asarray([index[v] for v in y_true], dtype=np.intp)
+    pred = np.asarray([index[v] for v in y_pred], dtype=np.intp)
+    return confusion_codes(true, pred, len(classes))
 
 
 def column_normalize(counts: np.ndarray) -> np.ndarray:

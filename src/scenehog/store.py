@@ -58,8 +58,7 @@ def write_features(
         + struct.pack("<QQ", x.shape[0], x.shape[1])
         + tag
     )
-    payload = np.ascontiguousarray(x, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, np.ascontiguousarray(x, dtype="<f4"))
     atomic_write_text(labels_path(path), "".join(v + "\n" for v in labels))
 
 

@@ -15,7 +15,8 @@ against one with majority voting; each pair's Gram is sliced from one
 kernel matrix per training set.  Model selection computes the
 sigma-free base of the learning half's matrix and of its block against
 the validation half once per half, maps both per sigma (kernel_matrix's
-own map, so the same bits), and reuses them across the whole C grid.
+own map, so the same bits), reuses them across the whole C grid and
+scores the grid with one vote per half and sigma.
 A model stores the training rows its machines use once, and predict
 scores every machine from one kernel block against them.
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, TrainingError
 from .metrics import map_score_codes
-from .util import atomic_write_bytes, rng_from, split_by_class
+from .util import atomic_write_bytes, class_codes, rng_from, split_by_class
 
 __all__ = [
     "KernelSpec",
@@ -548,13 +549,14 @@ class SvmModel:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
 
-def _class_pairs(labels: np.ndarray, classes: list[str]):
+def _class_pairs(codes: np.ndarray, classes: list[str]):
     """Each class pair (a, b), a < b, in order, with the indices of its
-    rows in labels and their labels: +1 for classes[a], -1 for classes[b]."""
+    rows in codes (class indices into classes) and their labels: +1 for
+    class a, -1 for class b."""
     for a in range(len(classes)):
+        take_a = codes == a
         for b in range(a + 1, len(classes)):
-            take_a = labels == classes[a]
-            take_b = labels == classes[b]
+            take_b = codes == b
             if not take_a.any() or not take_b.any():
                 raise TrainingError(f"no examples for pair ({classes[a]}, {classes[b]})")
             rows = np.flatnonzero(take_a | take_b)
@@ -575,15 +577,18 @@ def train_one_vs_one(
     each on its pair's block of one kernel matrix over all rows; the
     rows any machine keeps as support vectors are stored once."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray([str(v) for v in labels])
     if classes is None:
-        classes = sorted(set(labels))
+        classes, codes = class_codes(labels)
+    else:
+        # a label outside classes gets index -1, which is in no pair
+        index = {name: k for k, name in enumerate(classes)}
+        codes = np.asarray([index.get(str(v), -1) for v in labels], dtype=np.intp)
     if len(classes) < 2:
         raise TrainingError("training set contains a single class")
     gram = kernel_matrix(x, x, kernel)
     fits = [
         (pair, rows, train_binary(x[rows], y, c, kernel, tol=tol, gram=gram[np.ix_(rows, rows)]))
-        for pair, rows, y in _class_pairs(labels, classes)
+        for pair, rows, y in _class_pairs(codes, classes)
     ]
     # np.unique would import numpy.ma (14 ms, 0.5 MB RSS) into the process
     kept = np.bincount(np.concatenate([rows[m.support] for _, rows, m in fits]), minlength=len(x))
@@ -601,21 +606,19 @@ def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> n
     b otherwise.  The class with most votes wins; vote ties are broken
     by the larger sum of |decision| over the machines involving the
     class, added in the order of pairs, and any remaining tie by the
-    lower class index.
+    lower class index.  Votes and sums accumulate pair by pair into one
+    (class, column) table, so no temporary grows with the pair count.
     """
     n = values.shape[1]
-    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    cols = np.arange(n)
-    # flat (class, column) bins; bincount adds in input order, so each
-    # bin's weights are summed in the order of pairs
-    winner = np.where(values >= 0, ends[:, :1], ends[:, 1:])
-    votes = np.bincount((winner * n + cols).ravel(), minlength=n_classes * n)
-    bins = ends.reshape(-1, 1) * n + cols  # rows a0, b0, a1, b1, ...
-    weight = np.bincount(
-        bins.ravel(), weights=np.repeat(np.abs(values), 2, axis=0).ravel(),
-        minlength=n_classes * n,
-    )
-    votes, weight = votes.reshape(n_classes, n), weight.reshape(n_classes, n)
+    votes = np.zeros((n_classes, n), dtype=np.intp)
+    weight = np.zeros((n_classes, n))
+    for (a, b), v in zip(pairs, values):
+        ahead = v >= 0
+        votes[a] += ahead
+        votes[b] += ~ahead
+        magnitude = np.abs(v)
+        weight[a] += magnitude
+        weight[b] += magnitude
     heavy = np.where(votes == votes.max(axis=0), weight, -1.0)
     return (heavy == heavy.max(axis=0)).argmax(axis=0)
 
@@ -677,14 +680,13 @@ def model_select(
     tol.  Returns (c, sigma_or_None, best_score).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray([str(v) for v in labels])
     if c_grid is None:
         c_grid = default_c_grid()
     if sigma_grid is None:
         sigma_grid = default_sigma_grid()
     if n_resample < 1:
         raise ConfigError("n_resample must be >= 1")
-    classes = sorted(set(labels))
+    classes, codes = class_codes(labels)
     if len(classes) < 2:
         raise TrainingError("model selection needs at least two classes")
 
@@ -708,9 +710,9 @@ def model_select(
 
     # equal halves per class; an odd count leaves the extra example, and a
     # single example class its only one, in the learning half
-    learn_counts = [(int(np.sum(labels == name)) + 1) // 2 for name in classes]
+    learn_counts = (np.bincount(codes) + 1) // 2
     halves = [
-        split_by_class(labels, learn_counts, rng_from(seed, r)) for r in range(n_resample)
+        split_by_class(codes, learn_counts, rng_from(seed, r)) for r in range(n_resample)
     ]
     # validation halves may be empty when every class has one example
     halves = [(le, va) for le, va in halves if va.size > 0]
@@ -725,19 +727,20 @@ def model_select(
     # are row slices of those, shared by the whole C grid.  The grid is
     # walked in ascending C so each machine can take over the solve at
     # the C below it (train_binary's prior); a machine that did keeps
-    # that solve's decision values.  Validation is scored on class indices.
+    # that solve's decision values.  _vote treats every column on its
+    # own, so one vote over the decision values of every C, and one MAP
+    # pass on class indices, score the whole grid.
     c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
-    codes = np.searchsorted(np.asarray(classes), labels)
     totals = np.zeros((len(c_values), len(sigmas)))
     for learn_idx, val_idx in halves:
         x_learn, x_val, val_codes = x[learn_idx], x[val_idx], codes[val_idx]
-        split = list(_class_pairs(labels[learn_idx], classes))
+        split = list(_class_pairs(codes[learn_idx], classes))
         pairs = [pair for pair, _, _ in split]
         base_gram = _kernel_base(x_learn, x_learn, kernel_kind)
         base_cross = _kernel_base(x_learn, x_val, kernel_kind)
         for si, spec in enumerate(specs):
             gram, cross = _kernel_map(base_gram, spec), _kernel_map(base_cross, spec)
-            values = np.empty((len(c_values), len(pairs), val_idx.size))
+            values = np.empty((len(pairs), len(c_values), val_idx.size))
             for p, (_, rows, y) in enumerate(split):
                 xr, gram_r, cross_r = x_learn[rows], gram[np.ix_(rows, rows)], cross[rows]
                 machine = last = None
@@ -746,13 +749,13 @@ def model_select(
                         xr, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
                     )
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
-                        values[ci, p] = values[last, p]
+                        values[p, ci] = values[p, last]
                     else:
-                        values[ci, p] = _decision(machine, cross_r)
+                        values[p, ci] = _decision(machine, cross_r)
                     last = ci
-            for ci in range(len(c_values)):
-                pred = _vote(values[ci], pairs, len(classes))
-                totals[ci, si] += map_score_codes(val_codes, pred, len(classes))
+            pred = _vote(values.reshape(len(pairs), -1), pairs, len(classes))
+            pred = pred.reshape(len(c_values), -1)
+            totals[:, si] += map_score_codes(val_codes, pred, len(classes))
 
     best, best_score = candidates[0], -1.0
     for ci, si in candidates:

@@ -1,5 +1,6 @@
-"""Small shared helpers: derived random streams, a stratified index
-split, atomic file writes and an order preserving parallel map."""
+"""Small shared helpers: derived random streams, class indices of
+labels, a stratified index split, atomic file writes and an order
+preserving parallel map."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "rng_from", "split_by_class", "atomic_write_bytes", "atomic_write_text",
+    "rng_from", "class_codes", "split_by_class", "atomic_write_bytes", "atomic_write_text",
     "check_threads", "parallel_map",
 ]
 
@@ -29,32 +30,44 @@ def rng_from(seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def class_codes(labels) -> tuple[list[str], np.ndarray]:
+    """(classes, codes): the sorted distinct label names and, for each
+    label, the index of its name in classes.  Labels are compared as
+    names (str), so 10 sorts before 2."""
+    names = [str(v) for v in labels]
+    classes = sorted(set(names))
+    return classes, np.searchsorted(np.asarray(classes), names)
+
+
 def split_by_class(
-    labels: np.ndarray, n_first, rng: np.random.Generator
+    codes: np.ndarray, n_first, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split row indices into two sorted parts, class by class.
 
-    Classes are taken in sorted order; each draws one rng.permutation
-    of its rows, and the first n_first[k] of them go to the first part
-    for the k-th class, the rest to the second.
+    codes holds each row's class index; classes are taken in index
+    order, each draws one rng.permutation of its rows, and the first
+    n_first[k] of them go to the first part for class k, the rest to
+    the second.
     """
     first, second = [], []
-    for k, name in enumerate(sorted(set(labels))):
-        idx = np.flatnonzero(labels == name)
+    for k, count in enumerate(n_first):
+        idx = np.flatnonzero(codes == k)
         idx = idx[rng.permutation(idx.size)]
-        first.append(idx[: n_first[k]])
-        second.append(idx[n_first[k]:])
+        first.append(idx[:count])
+        second.append(idx[count:])
     return np.sort(np.concatenate(first)), np.sort(np.concatenate(second))
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a sibling temporary file and rename into place."""
+def atomic_write_bytes(path: Path, *parts) -> None:
+    """Write the bytes-like parts, in order, via a sibling temporary file
+    and rename it into place; no file is left behind on failure."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

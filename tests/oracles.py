@@ -312,6 +312,15 @@ def map_score_oracle(y_true, y_pred, classes):
     return total / len(classes)
 
 
+def confusion_oracle(y_true, y_pred, classes):
+    """Confusion counts by a plain loop over the rows: the row of the
+    true class and the column of the predicted one, in classes order."""
+    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        out[classes.index(t), classes.index(p)] += 1
+    return out
+
+
 def model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, n_resample, seed):
     """(C, sigma, score) chosen by retraining every candidate from scratch.
 

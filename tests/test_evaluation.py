@@ -8,8 +8,10 @@ from scenehog import (
     stratified_split,
     write_report,
 )
-from scenehog import svm
+from scenehog import evaluation, svm
 from scenehog.cli import main
+from scenehog.metrics import confusion_counts, map_score
+from scenehog.util import class_codes, rng_from
 from scenehog.errors import ConfigError, DataError, FormatError, ProtocolError
 
 
@@ -65,6 +67,21 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(t0, t1)
         np.testing.assert_array_equal(e0, e1)
 
+    def test_classes_drawn_in_name_order(self):
+        """Twelve classes named by numbers draw their permutations in
+        name order ("10" before "2"), class by class from one stream."""
+        labels = np.repeat(np.arange(12), 5)
+        train, test = stratified_split(labels, seed=3, split_index=2)
+        rng = rng_from(3, 2)
+        want_train, want_test = [], []
+        for name in sorted({str(v) for v in labels}):
+            idx = np.flatnonzero(labels.astype(str) == name)
+            idx = idx[rng.permutation(idx.size)]
+            want_train += idx[:4].tolist()
+            want_test += idx[4:].tolist()
+        np.testing.assert_array_equal(train, sorted(want_train))
+        np.testing.assert_array_equal(test, sorted(want_test))
+
     def test_class_too_small_rejected(self):
         labels = np.asarray(["a"] * 10 + ["b"])
         with pytest.raises(ProtocolError):
@@ -76,6 +93,17 @@ class TestStratifiedSplit:
             stratified_split(labels, seed=0, split_index=0, train_frac=1.0)
         with pytest.raises(ProtocolError):
             stratified_split(labels, seed=0, split_index=0, fixed_train_count=8)
+
+
+class TestClassCodes:
+    def test_names_sorted_as_strings(self):
+        classes, codes = class_codes([2, "10", "b", 2, 10, "3"])
+        assert classes == ["10", "2", "3", "b"]
+        assert codes.tolist() == [1, 0, 3, 1, 0, 2]
+
+    def test_empty(self):
+        classes, codes = class_codes([])
+        assert classes == [] and codes.size == 0
 
 
 class TestRunProtocol:
@@ -122,6 +150,32 @@ class TestRunProtocol:
         np.testing.assert_allclose(
             report.map_std, np.std(report.per_split_map), rtol=1e-15
         )
+
+    def test_scores_equal_scoring_the_names(self, monkeypatch):
+        """Each split's MAP and confusion counts, computed on class
+        indices, equal map_score and confusion_counts of the test
+        labels and the names predict returned; twelve classes named by
+        numbers check that the indices follow name order."""
+        rng = np.random.default_rng(6)
+        labels = np.repeat(np.arange(12), 6)
+        x = rng.normal(0.0, 1.5, (labels.size, 3)) + (labels[:, None] % 4) * [1.0, 0.0, 2.0]
+        splits, predictions = [], []
+        real_split, real_predict = evaluation.stratified_split, svm.predict
+        monkeypatch.setattr(
+            evaluation, "stratified_split",
+            lambda *a, **k: splits.append(real_split(*a, **k)) or splits[-1],
+        )
+        monkeypatch.setattr(
+            svm, "predict", lambda *a: predictions.append(real_predict(*a)) or predictions[-1]
+        )
+        report = run_protocol(x, labels, n_splits=3, seed=1, c_grid=np.array([0.1, 10.0]))
+        names = labels.astype(str)
+        assert report.classes == sorted(set(names.tolist()))
+        confusion = 0
+        for (_, test_idx), pred, score in zip(splits, predictions, report.per_split_map):
+            assert score == map_score(names[test_idx], pred, classes=report.classes)
+            confusion = confusion + confusion_counts(names[test_idx], pred, report.classes)
+        np.testing.assert_array_equal(report.confusion_sum, confusion)
 
     def test_single_class_rejected(self):
         x = np.zeros((6, 2))

@@ -8,8 +8,9 @@ from scenehog import (
     wilcoxon_signed_rank,
 )
 from scenehog.errors import ConfigError, ProtocolError
+from scenehog.metrics import confusion_codes, map_score_codes
 
-from oracles import map_score_oracle, wilcoxon_oracle
+from oracles import confusion_oracle, map_score_oracle, wilcoxon_oracle
 
 
 class TestMapScore:
@@ -68,6 +69,18 @@ class TestMapScore:
         union = sorted(set(y_true) | set(y_pred))
         assert map_score(y_true, y_pred) == map_score_oracle(y_true, y_pred, union)
 
+    @pytest.mark.parametrize("trial", range(10))
+    def test_rows_of_predictions_score_like_single_calls(self, trial):
+        """A 2-D pred gives each row the bits of scoring it alone."""
+        rng = np.random.default_rng(trial)
+        n_classes = int(rng.integers(2, 20))
+        true = rng.integers(0, n_classes + 1, 50)
+        pred = rng.integers(0, n_classes + 1, (7, 50))
+        got = map_score_codes(true, pred, n_classes)
+        assert got.shape == (7,)
+        assert got.tolist() == [map_score_codes(true, row, n_classes) for row in pred]
+        assert isinstance(map_score_codes(true, pred[0], n_classes), float)
+
 
 class TestConfusion:
     def test_counts_layout(self):
@@ -77,6 +90,33 @@ class TestConfusion:
         expected = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 2]])
         np.testing.assert_array_equal(m, expected)
         assert m.sum() == 6
+
+    def test_label_outside_classes_rejected(self):
+        with pytest.raises(ConfigError, match="z"):
+            confusion_counts(["a", "b"], ["a", "z"], ["a", "b"])
+        with pytest.raises(ConfigError, match="z"):
+            confusion_counts(["z", "b"], ["a", "b"], ["a", "b"])
+
+    def test_repeated_class_rejected(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            confusion_counts(["a", "b"], ["a", "b"], ["a", "b", "a"])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigError):
+            confusion_counts(["a", "b"], ["a"], ["a", "b"])
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_matches_per_row_loop_oracle(self, trial):
+        rng = np.random.default_rng(trial)
+        classes = [f"c{k}" for k in range(int(rng.integers(1, 13)))]
+        n = int(rng.integers(0, 80))
+        y_true = [str(v) for v in rng.choice(classes, n)]
+        y_pred = [str(v) for v in rng.choice(classes, n)]
+        got = confusion_counts(y_true, y_pred, classes)
+        np.testing.assert_array_equal(got, confusion_oracle(y_true, y_pred, classes))
+        true = np.asarray([classes.index(v) for v in y_true], dtype=np.intp)
+        pred = np.asarray([classes.index(v) for v in y_pred], dtype=np.intp)
+        np.testing.assert_array_equal(confusion_codes(true, pred, len(classes)), got)
 
     def test_column_normalize(self):
         m = np.array([[2, 0, 0], [2, 3, 0], [0, 1, 0]])

@@ -27,6 +27,7 @@ from scenehog import (
     scan_dataset,
     segment,
     write_pgm,
+    write_report,
     write_wav,
 )
 from scenehog import pipeline
@@ -538,6 +539,30 @@ class TestCli:
         )
         assert rc == 3
         assert "mismatch" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"classes": [f"s{k:02d}" for k in range(19)], "confusion_sum": np.eye(19, dtype=int)},
+            {"n_train": 41},
+            {"n_test": 159},
+        ],
+        ids=["classes", "n_train", "n_test"],
+    )
+    def test_compare_refuses_reports_of_other_splits(self, toy_workspace, capsys, change):
+        """Same seed and split count, but other classes or split sizes:
+        the paired test would pair unrelated splits."""
+        root, _ = toy_workspace
+        report = read_report(root / "report.txt")
+        other = root / "other_split_report.txt"
+        write_report(other, dataclasses.replace(report, **change))
+        assert read_report(other).seed == report.seed
+        rc, table, err = run_cli(
+            capsys, "compare", "--report-a", root / "report.txt", "--report-b", other,
+        )
+        assert rc == 3
+        assert "mismatch" in err
+        assert table == {}
 
     def test_experiment_refuses_other_extraction_config(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace

@@ -1,4 +1,6 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +60,30 @@ class TestFeatureFiles:
         write_features(path, first, ["a"])
         second, _, _ = read_features(path)
         np.testing.assert_array_equal(first, second)
+
+    def test_payload_written_without_extra_copies(self, tmp_path):
+        """The float32 array is the only payload sized buffer: no bytes
+        copy of it and no header + payload concatenation."""
+        x = np.random.default_rng(0).random((2000, 256))
+        payload = x.size * 4
+        tracemalloc.start()
+        try:
+            write_features(tmp_path / "feat.bin", x, ["a"] * len(x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
+        got, _, _ = read_features(tmp_path / "feat.bin")
+        np.testing.assert_array_equal(got, x.astype(np.float32))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_features(tmp_path / "feat.bin", np.ones((3, 4)), ["a", "b", "c"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "feat.bin"

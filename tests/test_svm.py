@@ -842,6 +842,40 @@ class TestModelSelect:
         assert len(calls) == 3 * n_sigma * 3 * 6   # |C| |sigma| halves pairs
 
     @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid, n_sigma", [("linear", (1.0, 2.0), 1), ("gaussian", (1.0, 2.0), 2)]
+    )
+    def test_one_vote_per_half_and_sigma(self, monkeypatch, kernel_kind, sigma_grid, n_sigma):
+        """Each (half, sigma) votes once, on every pair's decision values
+        of every C side by side: one column per (C, validation row)."""
+        voted = []
+        real = svm_module._vote
+        monkeypatch.setattr(
+            svm_module, "_vote",
+            lambda values, *rest: voted.append(values.shape) or real(values, *rest),
+        )
+        x, labels = four_blobs()
+        model_select(
+            x, labels, kernel_kind, c_grid=np.array([0.1, 1.0, 10.0]),
+            sigma_grid=sigma_grid, n_resample=3, seed=2,
+        )
+        # 8 rows per class: 4 learn and 4 validate, 16 validation rows
+        assert voted == [(6, 3 * 16)] * (3 * n_sigma)
+
+    @pytest.mark.parametrize("kernel_kind, sigma_grid", [("linear", None), ("gaussian", (1.0, 4.0))])
+    def test_classes_taken_in_name_order(self, kernel_kind, sigma_grid):
+        """Twelve classes named by numbers: "10" sorts before "2", which
+        decides the order of the per class draws and of vote ties."""
+        rng = np.random.default_rng(3)
+        labels = np.repeat(np.arange(12), 4)
+        x = rng.normal(0.0, 1.0, (labels.size, 3)) + labels[:, None] % 3
+        c_grid = np.array([0.01, 1.0, 100.0])
+        got = model_select(x, labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid, seed=4)
+        assert got == model_select(
+            x, labels.astype(str), kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid, seed=4
+        )
+        assert got == model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, 5, 4)
+
+    @pytest.mark.parametrize(
         "kernel_kind, sigma_grid",
         [("linear", (1.0, 2.0)), ("gaussian", (1.0, 2.0)), ("gaussian", (0.5, 1.0, 2.0, 4.0, 8.0))],
     )
