@@ -5,7 +5,9 @@ the script generates the ``perfbench/scenes19.py`` set at seed 1
 (19 classes of 2 s clips at 22.05 kHz), extracts it under the default
 config with one worker, and runs one split of the evaluation protocol
 on it: linear kernel, ``train_frac`` 0.8, default C grid and five
-resampled halves.  Features go through float32 first, as they do on
+resampled halves.  ``split_s`` is the median of SPLIT_RUNS runs of that
+split, since one run's time spreads too widely to show a change of the
+solver.  Features go through float32 first, as they do on
 their way through a feature file to ``scenehog experiment``.  It then
 writes the set out as WAV files and runs ``scenehog extract`` on them in
 a child process under the same config and worker count, whose peak
@@ -47,6 +49,7 @@ from scenes19 import make_scenes19  # noqa: E402
 
 DEFAULT_SIZES = (8, 40, 80)
 SEED = 1
+SPLIT_RUNS = 3
 
 # `scenehog extract` in a fresh process, then its own peak RSS in MB on
 # the last stdout line; benchmark and probe read it the same way.
@@ -71,15 +74,18 @@ def extract_rss_mb(data: Path, out: Path) -> float:
 
 
 def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float, float]:
-    """(rows, extraction s, split s, MAP, chosen C, extract peak RSS MB)."""
+    """(rows, extraction s, median split s, MAP, chosen C, extract peak RSS MB)."""
     clips = make_scenes19(SEED, n_per_class)
     start = time.perf_counter()
     x, labels, _, _ = extract_clips(clips, RunConfig())
     extract_s = time.perf_counter() - start
     x = x.astype(np.float32).astype(np.float64)
-    start = time.perf_counter()
-    report = run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
-    split_s = time.perf_counter() - start
+    split_times = []
+    for _ in range(SPLIT_RUNS):
+        start = time.perf_counter()
+        report = run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
+        split_times.append(time.perf_counter() - start)
+    split_s = float(np.median(split_times))
     data = work / f"scenes19-{n_per_class}"
     for clip in clips:
         write_wav(data / clip.label / f"{clip.source_id}.wav", clip)

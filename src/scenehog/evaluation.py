@@ -160,8 +160,9 @@ def run_protocol(
             labels, seed=seed, split_index=i,
             train_frac=train_frac, fixed_train_count=fixed_train_count,
         )
-        scaler = svm.fit_standardizer(x[train_idx])
-        x_train, train_labels = scaler.apply(x[train_idx]), labels[train_idx]
+        x_train, train_labels = x[train_idx], labels[train_idx]
+        scaler = svm.fit_standardizer(x_train)
+        x_train = scaler.apply(x_train)
         c, sigma, _ = svm.model_select(
             x_train, train_labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid,
             n_resample=n_resample, seed=int(rng_from(seed, i, 1).integers(2**63)), tol=tol,
@@ -315,6 +316,9 @@ def read_report(path: str | Path) -> EvalReport:
         chosen_sigma=table[:, 2],
         params=params,
     )
+    for key in ("n_splits", "n_train", "n_test"):
+        if getattr(report, key) < 1:
+            raise FormatError(f"{path}: {key} must be at least 1, got {getattr(report, key)}")
     if report.n_splits != report.per_split_map.size:
         raise FormatError(
             f"{path}: header claims {report.n_splits} splits, "

@@ -30,7 +30,11 @@ problem at a larger C follows the same steps to the same bits (the
 regularisation path is flat in C while no multiplier sits at the box).
 train_binary(prior=) checks that at the new C and then returns the
 prior's solution without solving; model selection walks each pair's C
-values in ascending order to use it.
+values in ascending order to use it.  The solve reads only the Gram,
+never the feature rows, so a caller that passes a Gram may pass None
+for x (model selection and train_one_vs_one do, and copy no pair's
+rows), and a prior is reused on the key (Gram object, label bytes, tol,
+max_iter, kernel), which train_binary tests before anything else.
 
 The dual problem solved for each binary machine is
 
@@ -222,13 +226,12 @@ def _atol(c: float) -> float:
 class _Solve(NamedTuple):
     """What an SMO solve ran on, and its certificate (see _smo).
 
-    gram and rows are weak references to the kernel matrix and the
-    feature rows, so a machine does not keep them alive; labels holds
-    the bytes of y.
+    gram is a weak reference to the kernel matrix, so a machine does not
+    keep it alive; labels holds the bytes of y and max_iter the value
+    train_binary was given.
     """
 
     gram: weakref.ref
-    rows: weakref.ref
     labels: bytes
     tol: float
     max_iter: int
@@ -444,7 +447,7 @@ def _smo(
 
 
 def train_binary(
-    x: np.ndarray,
+    x: np.ndarray | None,
     y: np.ndarray,
     c: float,
     kernel: KernelSpec,
@@ -458,48 +461,49 @@ def train_binary(
 
     The kernel matrix is computed once and held in memory; a caller
     that trains several machines on the same rows passes it as gram,
-    which must equal kernel_matrix(x, x, kernel).  max_iter of 0 picks
-    a generous default proportional to the training size.
+    which must equal kernel_matrix(x, x, kernel).  The solve never reads
+    x itself, so with a gram x may be None; without one it is required.
+    max_iter of 0 picks a generous default proportional to the training
+    size.
 
     prior is a machine this function trained at another C on the same,
-    unmodified gram and x objects, with the same labels, kernel, tol and
-    max_iter.  Those arguments were checked when the prior was solved,
-    so only c is checked again.  If c is valid and the prior's solve
-    certificate holds at it (_Solve.holds_at: no
-    C-dependent bound taken, every alpha below C - atol at both costs,
-    and atol unchanged or still below every value compared above it),
-    the solve at c would take the same steps to the same bits, so the
-    returned machine shares the prior's alpha, bias and support indices
-    (made read-only) with c as its cost, and _smo does not run.  Any
-    other prior is ignored and the machine is solved afresh.
+    unmodified gram object, with the same label bytes, kernel, tol and
+    max_iter (x is not part of that key).  Those arguments were checked
+    when the prior was solved, so the prior is tested first and only c
+    is checked again.  If c is valid and the prior's solve certificate
+    holds at it (_Solve.holds_at: no C-dependent bound taken, every
+    alpha below C - atol at both costs, and atol unchanged or still
+    below every value compared above it), the solve at c would take the
+    same steps to the same bits, so the returned machine shares the
+    prior's alpha, bias and support indices with c as its cost, and _smo
+    does not run.  Any other prior is ignored and the machine is solved
+    afresh.  A solved machine's support and alpha_signed arrays are
+    read-only, so the machines that share them cannot change each other.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    k = None if gram is None else np.asarray(gram, dtype=np.float64)
-    labels = y.tobytes()
-    if max_iter <= 0:
-        max_iter = max(100_000, 1_000 * y.size)
-    # a prior solved afresh on these very gram and x objects and label
+    # a prior solved afresh on this very gram object and these label
     # bytes passed the checks below then, so only c is left to check
     solve = None if prior is None else prior.solve
     if (
         solve is not None
-        and k is not None
-        and solve.gram() is k
-        and solve.rows() is x
-        and solve.labels == labels
+        and gram is not None
+        and solve.gram() is gram
         and solve.tol == tol
         and solve.max_iter == max_iter
         and prior.kernel == kernel
+        and solve.labels == np.asarray(y, dtype=np.float64).tobytes()
         and 0.0 < c < math.inf
         and solve.holds_at(prior.c, c)
     ):
-        for shared in (prior.support, prior.alpha_signed):
-            shared.flags.writeable = False
         return BinarySvm(prior.support, prior.alpha_signed, prior.bias, kernel, c, solve)
 
-    if x.shape[0] != y.size:
-        raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x is None:
+        if gram is None:
+            raise ConfigError("train_binary needs the feature rows x when no gram is given")
+    else:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[0] != y.size:
+            raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
     n_pos = np.count_nonzero(y == 1.0)
     n_neg = np.count_nonzero(y == -1.0)
     if n_pos + n_neg != y.size:
@@ -508,20 +512,22 @@ def train_binary(
         raise TrainingError("training set contains a single class")
     if not 0.0 < c < math.inf:
         raise ConfigError(f"C must be positive and finite, got {c}")
-    if k is None:
+    if gram is None:
         k = kernel_matrix(x, x, kernel)
-    elif k.shape != (y.size, y.size):
-        raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
+    else:
+        k = np.asarray(gram, dtype=np.float64)
+        if k.shape != (y.size, y.size):
+            raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
 
-    alpha, bias, it, cert = _smo(k, y, c, tol, max_iter)
+    cap = max_iter if max_iter > 0 else max(100_000, 1_000 * y.size)
+    alpha, bias, it, cert = _smo(k, y, c, tol, cap)
     sv = alpha > _atol(c)
+    support, alpha_signed = np.flatnonzero(sv), (alpha * y)[sv]
+    # read-only from the start, so machines that reuse this solve share them
+    support.flags.writeable = alpha_signed.flags.writeable = False
     return BinarySvm(
-        support=np.flatnonzero(sv),
-        alpha_signed=(alpha * y)[sv],
-        bias=bias,
-        kernel=kernel,
-        c=c,
-        solve=_Solve(weakref.ref(k), weakref.ref(x), labels, tol, max_iter, it, *cert),
+        support, alpha_signed, bias, kernel, c,
+        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, *cert),
     )
 
 
@@ -552,15 +558,15 @@ class SvmModel:
 def _class_pairs(codes: np.ndarray, classes: list[str]):
     """Each class pair (a, b), a < b, in order, with the indices of its
     rows in codes (class indices into classes) and their labels: +1 for
-    class a, -1 for class b."""
-    for a in range(len(classes)):
-        take_a = codes == a
+    class a, -1 for class b.  Each class's rows are found once."""
+    members = [np.flatnonzero(codes == a) for a in range(len(classes))]
+    for a, rows_a in enumerate(members):
         for b in range(a + 1, len(classes)):
-            take_b = codes == b
-            if not take_a.any() or not take_b.any():
+            if not rows_a.size or not members[b].size:
                 raise TrainingError(f"no examples for pair ({classes[a]}, {classes[b]})")
-            rows = np.flatnonzero(take_a | take_b)
-            yield (a, b), rows, np.where(take_a[rows], 1.0, -1.0)
+            rows = np.concatenate((rows_a, members[b]))
+            order = rows.argsort()
+            yield (a, b), rows[order], np.where(order < rows_a.size, 1.0, -1.0)
 
 
 def train_one_vs_one(
@@ -587,7 +593,7 @@ def train_one_vs_one(
         raise TrainingError("training set contains a single class")
     gram = kernel_matrix(x, x, kernel)
     fits = [
-        (pair, rows, train_binary(x[rows], y, c, kernel, tol=tol, gram=gram[np.ix_(rows, rows)]))
+        (pair, rows, train_binary(None, y, c, kernel, tol=tol, gram=gram[rows[:, None], rows]))
         for pair, rows, y in _class_pairs(codes, classes)
     ]
     # np.unique would import numpy.ma (14 ms, 0.5 MB RSS) into the process
@@ -742,11 +748,11 @@ def model_select(
             gram, cross = _kernel_map(base_gram, spec), _kernel_map(base_cross, spec)
             values = np.empty((len(pairs), len(c_values), val_idx.size))
             for p, (_, rows, y) in enumerate(split):
-                xr, gram_r, cross_r = x_learn[rows], gram[np.ix_(rows, rows)], cross[rows]
+                gram_r, cross_r = gram[rows[:, None], rows], cross[rows]
                 machine = last = None
                 for ci in c_order:
                     prior, machine = machine, train_binary(
-                        xr, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
+                        None, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
                     )
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
                         values[p, ci] = values[p, last]

@@ -368,6 +368,21 @@ def model_select_oracle(x, labels, kernel_kind, c_grid, sigma_grid, n_resample, 
     return best
 
 
+def class_pairs_oracle(codes, classes):
+    """svm._class_pairs by one mask per class of each pair: the rows
+    whose code is a or b, ascending, labelled +1 for a and -1 for b;
+    TrainingError for a pair with an empty class."""
+    from scenehog.errors import TrainingError
+
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            take_a, take_b = codes == a, codes == b
+            if not take_a.any() or not take_b.any():
+                raise TrainingError(f"no examples for pair ({classes[a]}, {classes[b]})")
+            rows = np.flatnonzero(take_a | take_b)
+            yield (a, b), rows, np.where(take_a[rows], 1.0, -1.0)
+
+
 def vote_oracle(values, pairs, n_classes):
     """Winning class per column of values (one row per pair (a, b)) by
     a plain loop: a vote for a when the value is >= 0 and for b

@@ -34,7 +34,7 @@ from scenehog import pipeline
 from scenehog import cli
 from scenehog import store
 from scenehog.cli import main
-from scenehog.errors import ConfigError
+from scenehog.errors import ConfigError, FormatError
 from scenehog.tfr import cqt, mean_filter, to_image
 from scenehog.util import parallel_map
 
@@ -562,6 +562,25 @@ class TestCli:
         )
         assert rc == 3
         assert "mismatch" in err
+        assert table == {}
+
+    @pytest.mark.parametrize("key", ["n_splits", "n_train", "n_test"])
+    def test_report_without_splits_or_rows_refused(self, toy_workspace, capsys, key):
+        """A report claiming no splits, or splits without train or test
+        rows, has no MAP to compare: exit 3, not a NaN table."""
+        root, _ = toy_workspace
+        lines = (root / "report.txt").read_text().splitlines()
+        lines = [f"{key}=0" if line.startswith(f"{key}=") else line for line in lines]
+        if key == "n_splits":
+            first, end = lines.index("split,map,c,sigma") + 1, lines.index("[confusion_sum]")
+            del lines[first:end]
+        bad = root / f"no_{key}_report.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{key} must be at least 1"):
+            read_report(bad)
+        rc, table, err = run_cli(capsys, "compare", "--report-a", bad, "--report-b", bad)
+        assert rc == 3
+        assert f"{key} must be at least 1" in err
         assert table == {}
 
     def test_experiment_refuses_other_extraction_config(self, toy_workspace, capsys):

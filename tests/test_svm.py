@@ -21,6 +21,7 @@ from scenehog import svm as svm_module
 from scenehog.errors import ConfigError, FormatError, TrainingError
 
 from oracles import (
+    class_pairs_oracle,
     model_select_oracle,
     vote_oracle,
     smo_oracle,
@@ -314,6 +315,23 @@ class TestBinarySvm:
             assert given.bias == plain.bias
             np.testing.assert_array_equal(given.support, plain.support)
 
+    def test_gram_without_rows_is_bit_identical(self):
+        """With a gram the solve never reads x, so x=None gives the
+        machine and solve record of the call with rows, bit for bit."""
+        rng = np.random.default_rng(43)
+        for n in (9, svm_module.SMALL_N + 5):
+            x, y = separable(rng, n)
+            for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=2.0)):
+                gram = kernel_matrix(x, x, spec)
+                want = train_binary(x, y, 3.0, spec, gram=gram)
+                got = train_binary(None, y, 3.0, spec, gram=gram)
+                assert_same_solve(got, want)
+                assert got.solve == want.solve
+
+    def test_rows_required_without_gram(self):
+        with pytest.raises(ConfigError, match="needs the feature rows"):
+            train_binary(None, np.array([1.0, -1.0]), 1.0, KernelSpec("linear"))
+
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_c_rejected(self, c):
         x = np.array([[0.0], [1.0]])
@@ -554,13 +572,17 @@ class TestSolveReuse:
         spec = KernelSpec("linear")
         gram = kernel_matrix(x, x, spec)
         prior = train_binary(x, y, 1e3, spec, gram=gram)
-        assert train_binary(x, y, 2e3, spec, gram=gram, prior=prior).alpha_signed is prior.alpha_signed
+        # the solve never reads x, so other rows (or none) with the same
+        # gram object are the same problem
+        for rows in (x, x.copy(), None):
+            got = train_binary(rows, y, 2e3, spec, gram=gram, prior=prior)
+            assert got.alpha_signed is prior.alpha_signed
+            assert_same_solve(got, train_binary(x, y, 2e3, spec, gram=gram))
         others = [
             (x, y, dict(gram=gram.copy())),
             (x, y, dict()),
             (x, y, dict(gram=gram, tol=1e-4)),
             (x, y, dict(gram=gram, max_iter=10**6)),
-            (x.copy(), y, dict(gram=gram)),
             (x, -y, dict(gram=gram)),
         ]
         for rows, labels, kwargs in others:
@@ -675,6 +697,45 @@ class TestOneVsOne:
                 values = rng.standard_normal((len(pairs), 9))
             got = svm_module._vote(values, pairs, n_classes)
             np.testing.assert_array_equal(got, vote_oracle(values, pairs, n_classes))
+
+    def test_class_pairs_match_per_pair_masks(self):
+        """Pairs built from each class's member list equal the per pair
+        mask definition, rows with code -1 (in no class) included, and an
+        empty class raises at the first pair that needs it."""
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            n_classes = int(rng.integers(2, 7))
+            codes = rng.integers(-1, n_classes, int(rng.integers(1, 40)))
+            if trial % 3 == 0:
+                codes[codes == rng.integers(n_classes)] = -1
+            classes = [f"k{a}" for a in range(n_classes)]
+            got, want = [], []
+            for out, pairs in ((got, svm_module._class_pairs), (want, class_pairs_oracle)):
+                try:
+                    for pair, rows, y in pairs(codes, classes):
+                        out.append((pair, rows.tolist(), y.tobytes()))
+                except TrainingError as exc:
+                    out.append(str(exc))
+            assert got == want
+
+    def test_labels_outside_classes_in_no_pair(self, monkeypatch):
+        """With classes given, a label outside them gets code -1, so its
+        rows are in no pair and no machine keeps them."""
+        x, labels = four_blobs()
+        known = labels != "d"
+        seen = []
+        real = svm_module._class_pairs
+        monkeypatch.setattr(
+            svm_module, "_class_pairs",
+            lambda codes, classes: seen.append(codes) or real(codes, classes),
+        )
+        model = train_one_vs_one(x, labels, 1.0, KernelSpec("linear"), classes=["c", "a", "b"])
+        (codes,) = seen
+        np.testing.assert_array_equal(codes[~known], -1)
+        np.testing.assert_array_equal(
+            np.asarray(["c", "a", "b"])[codes[known]], labels[known]
+        )
+        assert not any((model.support_vectors == row).all(axis=1).any() for row in x[~known])
 
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
@@ -897,51 +958,65 @@ class TestModelSelect:
     def test_blocks_bit_identical_to_kernel_matrix(self, monkeypatch, kernel_kind):
         """Every pair Gram handed to train_binary and every validation
         block handed to _decision is the slice of kernel_matrix over the
-        learning half, bit for bit, at every sigma of the default grid."""
+        learning half, bit for bit, at every sigma of the default grid.
+        A pair's rows within the half are those _class_pairs yielded with
+        the label array that train_binary gets; no feature rows are
+        passed."""
         x, labels = four_blobs()
         events = []
-        real_base, real_train, real_decision = (
-            svm_module._kernel_base, svm_module.train_binary, svm_module._decision
+        real_pairs, real_base, real_train, real_decision = (
+            svm_module._class_pairs, svm_module._kernel_base, svm_module.train_binary,
+            svm_module._decision,
         )
+
+        def class_pairs(codes, classes):
+            for item in real_pairs(codes, classes):
+                events.append(("pair", item))
+                yield item
 
         def base(a, b, kind):
             events.append(("base", a, b))
             return real_base(a, b, kind)
 
         def train(xr, y, c, spec, **kwargs):
-            events.append(("gram", xr, spec, kwargs["gram"]))
+            events.append(("gram", xr, y, spec, kwargs["gram"]))
             return real_train(xr, y, c, spec, **kwargs)
 
         def decision(machine, k):
             events.append(("cross", k))
             return real_decision(machine, k)
 
+        monkeypatch.setattr(svm_module, "_class_pairs", class_pairs)
         monkeypatch.setattr(svm_module, "_kernel_base", base)
         monkeypatch.setattr(svm_module, "train_binary", train)
         monkeypatch.setattr(svm_module, "_decision", decision)
         model_select(x, labels, kernel_kind, n_resample=2, seed=4)
         monkeypatch.undo()
 
-        count = {"base": 0, "gram": 0, "cross": 0}
+        count = {"pair": 0, "base": 0, "gram": 0, "cross": 0}
         specs = set()
+        split = []
         for kind, *args in events:
             count[kind] += 1
-            if kind == "base":
+            if kind == "pair":
+                split.append(args[0])
+            elif kind == "base":
                 a, b = args
                 if a is b:
                     x_learn = a
                 else:
                     x_val = b
             elif kind == "gram":
-                xr, spec, gram = args
-                rows = np.asarray([np.flatnonzero((x_learn == r).all(axis=1))[0] for r in xr])
+                xr, y, spec, gram = args
+                assert xr is None
+                (rows,) = [rows for _, rows, pair_y in split[-6:] if pair_y is y]
                 want = kernel_matrix(x_learn, x_learn, spec)[np.ix_(rows, rows)]
                 assert gram.tobytes() == want.tobytes()
                 specs.add(spec)
             else:
                 assert args[0].tobytes() == kernel_matrix(x_learn, x_val, spec)[rows].tobytes()
         n_sigma = 1 if kernel_kind == "linear" else len(svm_module.default_sigma_grid())
-        assert count["base"] == 2 * 2 and len(specs) == n_sigma
+        assert count["pair"] == 2 * 6 and count["base"] == 2 * 2 and len(specs) == n_sigma
         assert count["gram"] == 2 * n_sigma * 10 * 6   # halves, |sigma|, |C|, pairs
         assert 0 < count["cross"] <= count["gram"]
 
