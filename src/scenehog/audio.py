@@ -8,6 +8,7 @@ check for the whole pipeline.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,9 @@ __all__ = [
     "AudioClip",
     "ToyConfig",
     "read_wav",
+    "wav_length",
     "write_wav",
+    "segment_length",
     "segment",
     "make_toy_dataset",
 ]
@@ -62,20 +65,81 @@ _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
-def _iter_riff_chunks(data: bytes):
-    """Yield (fourcc, payload) pairs from a RIFF body, honouring pad bytes."""
+# bytes per sample of each supported (codec, bit depth)
+_SAMPLE_BYTES = {
+    (_WAVE_FORMAT_PCM, 8): 1,
+    (_WAVE_FORMAT_PCM, 16): 2,
+    (_WAVE_FORMAT_PCM, 24): 3,
+    (_WAVE_FORMAT_IEEE_FLOAT, 32): 4,
+}
+
+
+def _wav_layout(handle, path: Path) -> tuple[int, int, int, int, int, int]:
+    """(codec, channels, sample rate, bits, data offset, data bytes) of an
+    open RIFF/WAVE file.
+
+    Walks the chunk headers, honouring pad bytes, and reads the payload
+    of the fmt chunk only.  Raises FormatError for a malformed container
+    (a chunk declaring more bytes than the file holds included) and
+    UnsupportedCodecError for an encoding read_wav cannot decode.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+
+    fmt = None
+    data = None
     pos = 12
-    while pos + 8 <= len(data):
-        fourcc = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        payload = data[pos + 8:pos + 8 + size]
-        if len(payload) < size:
+    while pos + 8 <= size:
+        handle.seek(pos)
+        fourcc, chunk_size = struct.unpack("<4sI", handle.read(8))
+        if pos + 8 + chunk_size > size:
             raise FormatError(
-                f"truncated chunk {fourcc!r}: declared {size} bytes, "
-                f"got {len(payload)}"
+                f"{path}: truncated chunk {fourcc!r}: declared {chunk_size} bytes, "
+                f"got {size - pos - 8}"
             )
-        yield fourcc, payload
-        pos += 8 + size + (size & 1)
+        if fourcc == b"fmt " and fmt is None:
+            chunk = handle.read(chunk_size)
+            if len(chunk) < 16:
+                raise FormatError(f"{path}: fmt chunk too short ({len(chunk)} bytes)")
+            fmt = struct.unpack_from("<HHIIHH", chunk, 0)
+            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
+                if len(chunk) < 40:
+                    raise FormatError(f"{path}: extensible fmt chunk too short")
+                # first two bytes of the sub-format GUID carry the codec tag
+                (subformat,) = struct.unpack_from("<H", chunk, 24)
+                fmt = (subformat,) + fmt[1:]
+        elif fourcc == b"data" and data is None:
+            data = (pos + 8, chunk_size)
+        pos += 8 + chunk_size + (chunk_size & 1)
+    if fmt is None:
+        raise FormatError(f"{path}: missing fmt chunk")
+    if data is None:
+        raise FormatError(f"{path}: missing data chunk")
+
+    codec, n_channels, sample_rate, _, _, bits = fmt
+    if n_channels < 1:
+        raise FormatError(f"{path}: channel count {n_channels} invalid")
+    if codec not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
+        raise UnsupportedCodecError(f"{path}: codec tag {codec} not supported")
+    if (codec, bits) not in _SAMPLE_BYTES:
+        kind = "PCM" if codec == _WAVE_FORMAT_PCM else "float"
+        raise UnsupportedCodecError(f"{path}: {bits}-bit {kind} not supported")
+    return codec, n_channels, sample_rate, bits, data[0], data[1]
+
+
+def wav_length(path: str | Path) -> tuple[int, int]:
+    """(frames, sample rate) of a WAV file from its header alone: the
+    length of the clip read_wav returns, without reading the samples.
+
+    A file read_wav refuses raises the same error here when the fault
+    lies in the header; a fault in the samples shows only on decoding.
+    """
+    path = Path(path)
+    with open(path, "rb") as handle:
+        codec, n_channels, rate, bits, _, n_bytes = _wav_layout(handle, path)
+    return n_bytes // _SAMPLE_BYTES[codec, bits] // n_channels, rate
 
 
 def read_wav(path: str | Path, label: str | None = None) -> AudioClip:
@@ -88,47 +152,22 @@ def read_wav(path: str | Path, label: str | None = None) -> AudioClip:
 
     Raises FormatError for a malformed container and
     UnsupportedCodecError for well-formed files using other encodings.
+    Only the data chunk's payload is read into memory.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    payload = None
-    for fourcc, chunk in _iter_riff_chunks(data):
-        if fourcc == b"fmt " and fmt is None:
-            if len(chunk) < 16:
-                raise FormatError(f"{path}: fmt chunk too short ({len(chunk)} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", chunk, 0)
-            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
-                if len(chunk) < 40:
-                    raise FormatError(f"{path}: extensible fmt chunk too short")
-                # first two bytes of the sub-format GUID carry the codec tag
-                (subformat,) = struct.unpack_from("<H", chunk, 24)
-                fmt = (subformat,) + fmt[1:]
-        elif fourcc == b"data" and payload is None:
-            payload = chunk
-    if fmt is None:
-        raise FormatError(f"{path}: missing fmt chunk")
-    if payload is None:
-        raise FormatError(f"{path}: missing data chunk")
-
-    codec, n_channels, sample_rate, _, block_align, bits = fmt
-    if n_channels < 1:
-        raise FormatError(f"{path}: channel count {n_channels} invalid")
-    if codec not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
-        raise UnsupportedCodecError(f"{path}: codec tag {codec} not supported")
+    with open(path, "rb") as handle:
+        codec, n_channels, sample_rate, bits, offset, n_bytes = _wav_layout(handle, path)
+        handle.seek(offset)
+        payload = handle.read(n_bytes)
 
     if codec == _WAVE_FORMAT_PCM and bits == 8:
         raw = np.frombuffer(payload, dtype=np.uint8)
         x = (raw.astype(np.float64) - 128.0) / 128.0
     elif codec == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
+        raw = np.frombuffer(payload, dtype="<i2", count=len(payload) // 2)
         x = raw.astype(np.float64) / 32768.0
     elif codec == _WAVE_FORMAT_PCM and bits == 24:
-        usable = len(payload) // 3 * 3
-        b = np.frombuffer(payload[:usable], dtype=np.uint8).reshape(-1, 3)
+        b = np.frombuffer(payload, dtype=np.uint8, count=len(payload) // 3 * 3).reshape(-1, 3)
         val = (
             b[:, 0].astype(np.int32)
             | (b[:, 1].astype(np.int32) << 8)
@@ -136,12 +175,9 @@ def read_wav(path: str | Path, label: str | None = None) -> AudioClip:
         )
         val = np.where(val >= 1 << 23, val - (1 << 24), val)
         x = val.astype(np.float64) / float(1 << 23)
-    elif codec == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
+    else:  # 32 bit float, the one other entry of _SAMPLE_BYTES
+        raw = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
         x = raw.astype(np.float64)
-    else:
-        kind = "PCM" if codec == _WAVE_FORMAT_PCM else "float"
-        raise UnsupportedCodecError(f"{path}: {bits}-bit {kind} not supported")
 
     if x.size == 0:
         raise FormatError(f"{path}: empty data chunk")
@@ -179,7 +215,17 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     )
     if len(payload) & 1:
         body += b"\x00"
-    atomic_write_bytes(Path(path), b"RIFF" + struct.pack("<I", len(body)) + body)
+    atomic_write_bytes(Path(path), [b"RIFF" + struct.pack("<I", len(body)) + body])
+
+
+def segment_length(seg_seconds: float, sample_rate_hz: int) -> int:
+    """Samples per segment: seg_seconds * sample_rate_hz rounded, at least 1."""
+    if seg_seconds <= 0:
+        raise ConfigError(f"seg_seconds must be positive, got {seg_seconds}")
+    seg_len = int(round(seg_seconds * sample_rate_hz))
+    if seg_len < 1:
+        raise ConfigError("seg_seconds shorter than one sample")
+    return seg_len
 
 
 def segment(clip: AudioClip, seg_seconds: float) -> list[AudioClip]:
@@ -190,11 +236,7 @@ def segment(clip: AudioClip, seg_seconds: float) -> list[AudioClip]:
     index to the parent id so concatenating the segments in id order
     reproduces a prefix of the input.
     """
-    if seg_seconds <= 0:
-        raise ConfigError(f"seg_seconds must be positive, got {seg_seconds}")
-    seg_len = int(round(seg_seconds * clip.sample_rate_hz))
-    if seg_len < 1:
-        raise ConfigError("seg_seconds shorter than one sample")
+    seg_len = segment_length(seg_seconds, clip.sample_rate_hz)
     n_seg = clip.samples.size // seg_len
     out = []
     for i in range(n_seg):

@@ -215,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", type=Path, required=True, help="dataset root (class subdirs)")
     p.add_argument("--out", type=Path, required=True, help="output feature file")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker thread cap; no more workers start than there are usable cores",
+    )
     p.add_argument(
         "--dump-images", type=Path, default=None,
         help="write each row's filtered image here as PGM",
@@ -226,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--features", type=Path, required=True, help="input feature file")
     p.add_argument("--report", type=Path, required=True, help="output report file")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker thread cap; no more workers start than there are usable cores",
+    )
     p.add_argument("--manifest-dir", type=Path, default=None, help="write split manifests here")
     p.add_argument("--heatmap", type=Path, default=None, help="write confusion PGM here")
     p.set_defaults(func=cmd_experiment)

@@ -29,6 +29,10 @@ __all__ = [
 # Clamp order for the four 2x2 neighbourhoods: (row offset, col offset).
 _NEIGHBOURHOODS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
+# Pixel rows per band of cell_histograms, rounded down to whole cell
+# rows (one cell row when a cell is taller).
+_BAND_ROWS = 64
+
 
 @dataclass
 class HogConfig:
@@ -112,12 +116,24 @@ def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central difference gradients (Gx along columns, Gy along rows).
 
     Interior pixels use (next - previous) / 2; border pixels fall back
-    to the one sided difference with unit step.
+    to the one sided difference with unit step.  The differences are
+    written straight into the two outputs and halved in place: the same
+    IEEE operations as np.gradient, so the same bits, without its
+    image-sized temporaries.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
         raise ConfigError(f"gradient expects at least 2x2 input, got {img.shape}")
-    gy, gx = np.gradient(img)
+    gx = np.empty_like(img)
+    np.subtract(img[:, 2:], img[:, :-2], out=gx[:, 1:-1])
+    gx[:, 1:-1] /= 2.0
+    np.subtract(img[:, 1], img[:, 0], out=gx[:, 0])
+    np.subtract(img[:, -1], img[:, -2], out=gx[:, -1])
+    gy = np.empty_like(img)
+    np.subtract(img[2:], img[:-2], out=gy[1:-1])
+    gy[1:-1] /= 2.0
+    np.subtract(img[1], img[0], out=gy[0])
+    np.subtract(img[-1], img[-2], out=gy[-1])
     return gx, gy
 
 
@@ -134,6 +150,13 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
     differences of an image in [0, 1] are at most 1 in size.  An angle
     just below 0 can round to 2pi once shifted; its bin index n_bins
     wraps to 0.
+
+    The image is walked in bands of whole cell rows, about _BAND_ROWS
+    pixel rows each, so the magnitude, angle and bin index arrays are
+    band-sized rather than image-sized (256 KB against 2 MB each at
+    512 x 512).  Every cell lies in one band, and a band's bincount adds
+    its pixels in the same raster order as one bincount over the whole
+    image would, so the histograms are the same bits.
     """
     gx = np.asarray(gx, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -147,19 +170,28 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
         )
     n_bins = 2 * cfg.n_orient
     rows, cols = h // cs, w // cs
+    band = max(1, _BAND_ROWS // cs) * cs
+    row_offsets = (np.arange(band) // cs * (cols * n_bins))[:, None]
+    col_offsets = (np.arange(w) // cs * n_bins)[None, :]
 
-    mag = gx * gx
-    mag += gy * gy
-    np.sqrt(mag, out=mag)
-    theta = np.arctan2(gy, gx)
-    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
-    theta *= n_bins / (2.0 * np.pi)
-    flat = theta.astype(np.intp)
-    flat[flat == n_bins] = 0
-    flat += (np.arange(h) // cs * (cols * n_bins))[:, None]
-    flat += (np.arange(w) // cs * n_bins)[None, :]
-    hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=rows * cols * n_bins)
-    return hist.reshape(rows, cols, n_bins)
+    hist = np.empty((rows, cols, n_bins))
+    for top in range(0, h, band):
+        bx, by = gx[top:top + band], gy[top:top + band]
+        mag = bx * bx
+        mag += by * by
+        np.sqrt(mag, out=mag)
+        theta = np.arctan2(by, bx)
+        np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+        theta *= n_bins / (2.0 * np.pi)
+        flat = theta.astype(np.intp)
+        flat[flat == n_bins] = 0
+        flat += row_offsets[:len(flat)]
+        flat += col_offsets
+        cells = len(flat) // cs
+        hist[top // cs:top // cs + cells] = np.bincount(
+            flat.ravel(), weights=mag.ravel(), minlength=cells * cols * n_bins
+        ).reshape(cells, cols, n_bins)
+    return hist
 
 
 def normalize_cells(raw: np.ndarray, cfg: HogConfig) -> HogGrid:
@@ -208,6 +240,12 @@ def normalize_cells(raw: np.ndarray, cfg: HogConfig) -> HogGrid:
 
 
 def hog(img: np.ndarray, cfg: HogConfig) -> HogGrid:
-    """Full descriptor for one image: gradients, cell votes, normalisation."""
+    """Full descriptor for one image: gradients, cell votes, normalisation.
+
+    The gradient fields are dropped once the cells are counted, so the
+    normalisation runs beside the image and the raw histograms only.
+    """
     gx, gy = gradient(img)
-    return normalize_cells(cell_histograms(gx, gy, cfg), cfg)
+    raw = cell_histograms(gx, gy, cfg)
+    del gx, gy
+    return normalize_cells(raw, cfg)

@@ -28,15 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, ToyConfig, make_toy_dataset, segment
-from .errors import ConfigError
+from .audio import AudioClip, ToyConfig, make_toy_dataset, segment, segment_length
+from .errors import ConfigError, DataError
 from .evaluation import EvalReport, run_protocol
 from .hog import HogConfig, hog
-from .pooling import FeatureVector, PoolConfig, pool
-from .store import write_pgm
+from .pooling import FeatureVector, PoolConfig, feature_dim, pool
+from .store import DatasetScan, write_pgm
 from .svm import KernelSpec, default_sigma_grid
 from .tfr import CqtConfig, cqt, mean_filter, to_image
-from .util import parallel_map
+from .util import check_threads, parallel_map
 
 __all__ = [
     "RunConfig",
@@ -309,6 +309,22 @@ def extract_clip(
     return value, timing
 
 
+def _row_counts(clips: Sequence[AudioClip], seg_seconds: float) -> list[int]:
+    """Rows each clip gives: one, or with seg_seconds > 0 its segment
+    count, read from the WAV header for a DatasetScan and from the
+    samples otherwise, one clip at a time."""
+    if seg_seconds <= 0:
+        return [1] * len(clips)
+
+    def length(i: int) -> tuple[int, int]:
+        if isinstance(clips, DatasetScan):
+            return clips.length(i)
+        clip = clips[i]
+        return clip.samples.size, clip.sample_rate_hz
+
+    return [n // segment_length(seg_seconds, rate) for n, rate in map(length, range(len(clips)))]
+
+
 def extract_clips(
     clips: Sequence[AudioClip],
     cfg: RunConfig,
@@ -327,28 +343,48 @@ def extract_clips(
     cannot be read fails the call with its own error when its turn
     comes.  dump_images is passed on to extract_clip, giving one PGM
     per row.
+
+    The matrix is allocated once, before any clip is extracted: its
+    width is pooling.feature_dim of the configuration, and its row
+    count is known beforehand, since a segmented clip gives
+    floor(samples / segment length) rows (a DatasetScan reads the
+    sample counts from the WAV headers, so no clip is decoded twice).
+    Each worker copies its rows into their place and drops every
+    FeatureVector once copied.  A row of another width, or a clip with
+    another segment count than its header promised, fails the call.
     """
     cfg.validate()
+    check_threads(threads)
+    counts = _row_counts(clips, cfg.seg_seconds)
+    first = np.cumsum([0] + counts)
+    if not first[-1]:
+        raise ConfigError("no clips to extract")
+    cells = cfg.image_size // cfg.cell_size
+    dim = feature_dim(cfg.pool_config(), cfg.n_orient, cells, cells)
+    x = np.empty((int(first[-1]), dim))
 
     def rows_of(i: int) -> list:
         clip = clips[i]
         parts = segment(clip, cfg.seg_seconds) if cfg.seg_seconds > 0 else [clip]
-        return [
-            (*extract_clip(part, cfg, dump_images=dump_images), part.label, part.source_id)
-            for part in parts
-        ]
+        if len(parts) != counts[i]:
+            raise DataError(
+                f"{clip.source_id}: {len(parts)} segments, {counts[i]} expected "
+                "from its length before decoding"
+            )
+        del clip
+        tags = []
+        for row, part in enumerate(parts, start=first[i]):
+            fv, timing = extract_clip(part, cfg, dump_images=dump_images)
+            if fv.dim != dim:
+                raise ConfigError(f"inconsistent feature dimensions: {fv.dim} against {dim}")
+            x[row] = fv.values
+            tags.append((part.label, part.source_id, timing))
+        return tags
 
-    per_clip = parallel_map(rows_of, range(len(clips)), threads)
-    results = [row for rows in per_clip for row in rows]
-    if not results:
-        raise ConfigError("no clips to extract")
-    dims = {fv.dim for fv, _, _, _ in results}
-    if len(dims) != 1:
-        raise ConfigError(f"inconsistent feature dimensions: {sorted(dims)}")
-    x = np.vstack([fv.values for fv, _, _, _ in results])
-    labels = [label if label is not None else "?" for _, _, label, _ in results]
-    ids = [source_id for _, _, _, source_id in results]
-    totals = {name: sum(t[name] for _, t, _, _ in results) for name in results[0][1]}
+    tags = [tag for rows in parallel_map(rows_of, range(len(clips)), threads) for tag in rows]
+    labels = [label if label is not None else "?" for label, _, _ in tags]
+    ids = [source_id for _, source_id, _ in tags]
+    totals = {name: sum(t[name] for _, _, t in tags) for name in tags[0][2]}
     return x, labels, ids, totals
 
 

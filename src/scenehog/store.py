@@ -8,6 +8,7 @@ sidecar next to the matrix, one class name per line.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, read_wav
+from .audio import AudioClip, read_wav, wav_length
 from .errors import DatasetError, FormatError
 from .util import atomic_write_bytes, atomic_write_text
 
@@ -32,6 +33,8 @@ _FEATURE_MAGIC = b"HFTR"
 _FEATURE_VERSION = 1
 _HASH_BYTES = 40
 _HEADER_BYTES = 4 + 4 + 8 + 8 + _HASH_BYTES
+# float32 payload bytes converted and written at a time by write_features
+_WRITE_BLOCK_BYTES = 1 << 20
 
 
 def labels_path(path: str | Path) -> Path:
@@ -44,7 +47,9 @@ def write_features(
     """Write a feature matrix and its label sidecar atomically.
 
     Values are quantized to float32 exactly once, here; reading the
-    file back returns those float32 values unchanged.
+    file back returns those float32 values unchanged.  The payload is
+    converted and written in blocks of rows of about _WRITE_BLOCK_BYTES,
+    so no float32 copy of the whole matrix is made.
     """
     path = Path(path)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -58,7 +63,11 @@ def write_features(
         + struct.pack("<QQ", x.shape[0], x.shape[1])
         + tag
     )
-    atomic_write_bytes(path, header, np.ascontiguousarray(x, dtype="<f4"))
+    step = max(1, _WRITE_BLOCK_BYTES // (4 * max(1, x.shape[1])))
+    blocks = (
+        np.ascontiguousarray(x[r:r + step], dtype="<f4") for r in range(0, x.shape[0], step)
+    )
+    atomic_write_bytes(path, itertools.chain([header], blocks))
     atomic_write_text(labels_path(path), "".join(v + "\n" for v in labels))
 
 
@@ -113,7 +122,8 @@ class DatasetScan(Sequence):
 
     len(scan) is the number of entries.  scan[i] decodes entry i with
     read_wav on every access and tags it with its label and source id;
-    the scan itself holds no samples.
+    the scan itself holds no samples; scan.length(i) reads entry i's
+    (frames, sample rate) from its WAV header alone.
     """
 
     entries: list[tuple[Path, str, str]]
@@ -127,6 +137,9 @@ class DatasetScan(Sequence):
         clip = read_wav(path, label=label)
         clip.source_id = source_id
         return clip
+
+    def length(self, i: int) -> tuple[int, int]:
+        return wav_length(self.entries[i][0])
 
     @property
     def classes(self) -> list[str]:
@@ -225,4 +238,4 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
         raise FormatError("write_pgm expects a 2-D array")
     gray = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(Path(path), header + gray.tobytes())
+    atomic_write_bytes(Path(path), [header, gray])

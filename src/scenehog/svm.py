@@ -812,7 +812,7 @@ def save_model(path: str | Path, model: SvmModel) -> None:
         parts.append(struct.pack("<IIdQ", a, b, svm.bias, svm.support.size))
         parts.append(np.asarray(svm.support, "<u8").tobytes())
         parts.append(np.asarray(svm.alpha_signed, "<f8").tobytes())
-    atomic_write_bytes(Path(path), b"".join(parts))
+    atomic_write_bytes(Path(path), parts)
 
 
 class _Reader:

@@ -20,7 +20,8 @@ a small read-only cache.
 The image stages are matrix products too.  The resize applies its
 column weights first, to the narrow spectrum, and its row weights
 last; the mean filter sums each band of output rows, then of output
-columns, with one GEMM of a 0/1 band matrix and the edge-padded image.
+columns, with one GEMM of a 0/1 band matrix and the band's edge-extended
+window of the image.
 """
 
 from __future__ import annotations
@@ -290,6 +291,18 @@ def to_image(mag: np.ndarray, size: int = 512, db_floor: float = -80.0) -> TfrIm
     return TfrImage(np.clip(img, 0.0, 1.0, out=img))
 
 
+def _edge_window(img: np.ndarray, start: int, n: int, axis: int) -> np.ndarray:
+    """Rows (axis 0) or columns (axis 1) start .. start + n - 1 of img,
+    an index outside the image reading the nearest edge one: a view of
+    img when all lie inside, else a gathered C-contiguous copy."""
+    size = img.shape[axis]
+    if 0 <= start and start + n <= size:
+        return img[start:start + n] if axis == 0 else img[:, start:start + n]
+    # np.take lays the copy out in C order, as the padded image was; a
+    # column-major block would go to another GEMM kernel, and other bits
+    return np.take(img, np.clip(np.arange(start, start + n), 0, size - 1), axis=axis)
+
+
 def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     """k x k box average with replicated borders.
 
@@ -298,18 +311,22 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     pixel up and left.  k = 1 is the identity.
 
     The filter is separable and runs as two passes of banded block
-    GEMMs.  The first pads k - 1 edge rows and, for each block of
-    _BAND output rows, multiplies a 0/1 matrix whose row i holds ones
-    in columns i .. i + k - 1 with the block's _BAND + k - 1 padded
-    rows, writing the window sums straight into the result, which is
-    then divided by k.  The second pads edge columns and does the same
-    from the right, with the transposed 0/1 matrix, so no transposed
-    copy is made.  Every output is the sum of its k padded values (the
-    band's zeros add nothing), then divided by k.  The BLAS kernel picks
-    the order of the additions: on 512-pixel images it adds in window
-    order and the result equals two sliding-window row passes bit for
-    bit; at other sides the edge tiles go to other kernels and can
-    differ in the last bit.
+    GEMMs.  For each block of _BAND output rows, the first multiplies a
+    0/1 matrix whose row i holds ones in columns i .. i + k - 1 with the
+    _BAND + k - 1 input rows the block's windows cover, writing the
+    window sums straight into the result, which is then divided by k.
+    The second does the same for blocks of output columns from the
+    right, with the transposed 0/1 matrix, so no transposed copy is
+    made.  No edge-padded copy of the image is made either: an interior
+    block reads its rows (columns) as a view of the input, and only a
+    block whose windows reach past an edge gathers its own small copy,
+    the edge row (column) repeated.  Every output is the sum of its k
+    edge-extended values (the band's zeros add nothing), then divided
+    by k.  The BLAS kernel picks the order of the additions: on
+    512-pixel images it adds in window order and the result equals two
+    sliding-window row passes bit for bit; at other sides the edge tiles
+    go to other kernels and can differ in the last bit.  Apart from the
+    input the filter holds two images, the row pass and the result.
 
     _BAND = 32 is measured, on one 512 x 512 image at k = 15 with one
     OpenBLAS thread on a 2-core x86-64 host (medians of 7 runs): bands
@@ -320,28 +337,29 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ConfigError(f"filter size must be >= 1, got {k}")
-    img = np.asarray(img, dtype=np.float64)
+    # C order, so every window has the layout the GEMM kernels were
+    # measured and bit-checked with
+    img = np.ascontiguousarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ConfigError("mean_filter expects a 2-D array")
     if k == 1:
         return img.copy()
     lo = k // 2
-    hi = k - 1 - lo
     h, w = img.shape
     span = np.arange(_BAND + k - 1)[None, :] - np.arange(_BAND)[:, None]
     ones = ((span >= 0) & (span < k)).astype(np.float64)
 
-    padded = np.pad(img, ((lo, hi), (0, 0)), mode="edge")
     rows = np.empty((h, w))
     for r in range(0, h, _BAND):
         n = min(_BAND, h - r)
-        np.matmul(ones[:n, :n + k - 1], padded[r:r + n + k - 1], out=rows[r:r + n])
+        window = _edge_window(img, r - lo, n + k - 1, axis=0)
+        np.matmul(ones[:n, :n + k - 1], window, out=rows[r:r + n])
     rows /= k
 
-    padded = np.pad(rows, ((0, 0), (lo, hi)), mode="edge")
     out = np.empty((h, w))
     for c in range(0, w, _BAND):
         n = min(_BAND, w - c)
-        np.matmul(padded[:, c:c + n + k - 1], ones[:n, :n + k - 1].T, out=out[:, c:c + n])
+        window = _edge_window(rows, c - lo, n + k - 1, axis=1)
+        np.matmul(window, ones[:n, :n + k - 1].T, out=out[:, c:c + n])
     out /= k
     return out

@@ -15,7 +15,7 @@ from .errors import ConfigError
 
 __all__ = [
     "rng_from", "class_codes", "split_by_class", "atomic_write_bytes", "atomic_write_text",
-    "check_threads", "parallel_map",
+    "check_threads", "usable_cores", "parallel_map",
 ]
 
 
@@ -58,9 +58,10 @@ def split_by_class(
     return np.sort(np.concatenate(first)), np.sort(np.concatenate(second))
 
 
-def atomic_write_bytes(path: Path, *parts) -> None:
-    """Write the bytes-like parts, in order, via a sibling temporary file
-    and rename it into place; no file is left behind on failure."""
+def atomic_write_bytes(path: Path, parts) -> None:
+    """Write an iterable of bytes-like parts, in order, via a sibling
+    temporary file and rename it into place; no file is left behind on
+    failure, also when the iterable itself raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -76,7 +77,7 @@ def atomic_write_bytes(path: Path, *parts) -> None:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def check_threads(threads: int) -> None:
@@ -84,15 +85,25 @@ def check_threads(threads: int) -> None:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items] on up to `threads` worker threads.
 
     Results follow the input order.  The worker count is capped at the
-    number of items; one worker runs in the calling thread.
+    number of items and at usable_cores(), since every worker holds its
+    own working set and more workers than cores gain no speed; one
+    worker runs in the calling thread.
     """
     check_threads(threads)
     items = list(items)
-    workers = min(threads, len(items))
+    workers = min(threads, len(items), usable_cores())
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

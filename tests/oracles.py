@@ -4,12 +4,15 @@ Everything here is written from the mathematical definitions with the
 plainest possible code (explicit per frame loops, generic optimizers,
 exhaustive enumeration) and shares no helpers with the package, so a
 library bug cannot be masked by an identical bug in its oracle.  The
-three exceptions check optimised library code against the plain version
-it replaced: smo_oracle keeps the solver loop that recomputes every
+exceptions check optimised library code against the plain version it
+replaced: smo_oracle keeps the solver loop that recomputes every
 quantity per step, model_select_oracle retrains every candidate from
-scratch through the package's one against one trainer, and
+scratch through the package's one against one trainer,
 mean_filter_sliding keeps the sliding-window filter, fast enough to
-check full size images.
+check full size images, and mean_filter_padded and
+cell_histograms_oneshot keep the whole-image filter and histogram
+expressions that the banded library versions must reproduce bit for
+bit.
 """
 
 import itertools
@@ -117,6 +120,63 @@ def mean_filter_sliding(img, k):
         windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
         out = np.ascontiguousarray(windows.mean(axis=-1).T)
     return out
+
+
+def mean_filter_padded(img, k):
+    """The box average as two banded GEMM passes over edge-padded copies.
+
+    The first pass pads k - 1 edge rows and multiplies a 0/1 band matrix
+    with each block of 32 output rows' padded rows; the second pads edge
+    columns and does the same from the right with the transposed band
+    matrix.  Both sums are divided by k.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    if k == 1:
+        return img.copy()
+    band = 32
+    lo, hi = k // 2, k - 1 - k // 2
+    h, w = img.shape
+    span = np.arange(band + k - 1)[None, :] - np.arange(band)[:, None]
+    ones = ((span >= 0) & (span < k)).astype(np.float64)
+    padded = np.pad(img, ((lo, hi), (0, 0)), mode="edge")
+    rows = np.empty((h, w))
+    for r in range(0, h, band):
+        n = min(band, h - r)
+        np.matmul(ones[:n, :n + k - 1], padded[r:r + n + k - 1], out=rows[r:r + n])
+    rows /= k
+    padded = np.pad(rows, ((0, 0), (lo, hi)), mode="edge")
+    out = np.empty((h, w))
+    for c in range(0, w, band):
+        n = min(band, w - c)
+        np.matmul(padded[:, c:c + n + k - 1], ones[:n, :n + k - 1].T, out=out[:, c:c + n])
+    out /= k
+    return out
+
+
+def cell_histograms_oneshot(gx, gy, cell_size, n_orient):
+    """Signed cell histograms from one bincount over the whole image.
+
+    Magnitude sqrt(Gx^2 + Gy^2), angle atan2(Gy, Gx) moved into
+    [0, 2pi) and scaled by 2B / 2pi, truncated to a bin (2B wraps to 0),
+    then every pixel's (cell, bin) index in raster order.
+    """
+    gx = np.asarray(gx, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    h, w = gx.shape
+    cs, n_bins = cell_size, 2 * n_orient
+    rows, cols = h // cs, w // cs
+    mag = gx * gx
+    mag += gy * gy
+    np.sqrt(mag, out=mag)
+    theta = np.arctan2(gy, gx)
+    np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+    theta *= n_bins / (2.0 * np.pi)
+    flat = theta.astype(np.intp)
+    flat[flat == n_bins] = 0
+    flat += (np.arange(h) // cs * (cols * n_bins))[:, None]
+    flat += (np.arange(w) // cs * n_bins)[None, :]
+    hist = np.bincount(flat.ravel(), weights=mag.ravel(), minlength=rows * cols * n_bins)
+    return hist.reshape(rows, cols, n_bins)
 
 
 def cell_histograms_oracle(gx, gy, cell_size, n_orient):

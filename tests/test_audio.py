@@ -15,7 +15,7 @@ from scenehog import (
     segment,
     write_wav,
 )
-from scenehog.audio import TOY_GATE_S
+from scenehog.audio import TOY_GATE_S, wav_length
 from scenehog.errors import ConfigError
 
 
@@ -138,6 +138,41 @@ class TestReadWav:
         path = tmp_path / "x.wav"
         path.write_bytes(make_wav_bytes(1, 16, 1, 8000, payload, extra_chunks=junk))
         np.testing.assert_array_equal(read_wav(path).samples, 0.5)
+
+
+class TestWavLength:
+    @pytest.mark.parametrize(
+        "codec, bits, channels, payload",
+        [
+            (1, 8, 1, bytes(range(9))),
+            (1, 16, 1, b"\x01" * 11),
+            (1, 16, 2, b"\x01" * 14),
+            (1, 24, 3, b"\x01" * 40),
+            (3, 32, 2, struct.pack("<5f", 0.1, 0.2, 0.3, 0.4, 0.5)),
+        ],
+    )
+    def test_matches_decoded_length(self, tmp_path, codec, bits, channels, payload):
+        """The header alone gives the frame count read_wav decodes,
+        trailing partial samples and frames included."""
+        junk = b"LIST" + struct.pack("<I", 5) + b"INFO\x00" + b"\x00"
+        path = tmp_path / "x.wav"
+        path.write_bytes(make_wav_bytes(codec, bits, channels, 11025, payload, junk))
+        clip = read_wav(path)
+        assert wav_length(path) == (clip.samples.size, 11025)
+
+    def test_header_faults_raise_as_in_read_wav(self, tmp_path):
+        path = tmp_path / "bad.wav"
+        for blob, error in (
+            (b"not a wave file at all", FormatError),
+            (make_wav_bytes(1, 16, 1, 8000, b"\x00" * 8)[:-5], FormatError),
+            (make_wav_bytes(2, 4, 1, 8000, b"\x00" * 64), UnsupportedCodecError),
+            (make_wav_bytes(1, 32, 1, 8000, b"\x00" * 8), UnsupportedCodecError),
+        ):
+            path.write_bytes(blob)
+            with pytest.raises(error, match="bad.wav"):
+                wav_length(path)
+            with pytest.raises(error, match="bad.wav"):
+                read_wav(path)
 
 
 class TestWriteWav:

@@ -6,7 +6,7 @@ import pytest
 from scenehog import HogConfig, HogGrid, cell_histograms, gradient, hog, normalize_cells
 from scenehog.errors import ConfigError
 
-from oracles import cell_histograms_oracle
+from oracles import cell_histograms_oneshot, cell_histograms_oracle
 
 NEIGHBOURHOODS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -97,6 +97,14 @@ class TestGradient:
         with pytest.raises(ConfigError):
             gradient(np.zeros((1, 8)))
 
+    @pytest.mark.parametrize("shape", [(512, 512), (2, 9), (9, 2), (2, 2), (3, 3), (17, 40)])
+    def test_bit_identical_to_numpy_gradient(self, shape):
+        img = np.random.default_rng(sum(shape)).random(shape)
+        gx, gy = gradient(img)
+        want_gy, want_gx = np.gradient(img)
+        np.testing.assert_array_equal(gx, want_gx)
+        np.testing.assert_array_equal(gy, want_gy)
+
 
 class TestCellHistograms:
     def test_axis_aligned_votes(self):
@@ -164,6 +172,22 @@ class TestCellHistograms:
             hist = cell_histograms(gx, gy, HogConfig(cell_size=cs, n_orient=n_orient))
             ref = cell_histograms_oracle(gx, gy, cs, n_orient)
             np.testing.assert_allclose(hist, ref, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize(
+        "shape, cell_size",
+        [((512, 512), 1), ((96, 30), 3), ((512, 512), 8), ((200, 64), 8),
+         ((512, 512), 32), ((96, 64), 32), ((256, 128), 128)],
+    )
+    def test_bands_bit_identical_to_one_bincount(self, shape, cell_size):
+        """Bands of whole cell rows give the one-shot histograms bit for
+        bit, also when the height is no multiple of the band."""
+        rng = np.random.default_rng(cell_size)
+        gx, gy = gradients_with_edges(rng, shape)
+        for n_orient in (8, 3):
+            hist = cell_histograms(gx, gy, HogConfig(cell_size=cell_size, n_orient=n_orient))
+            want = cell_histograms_oneshot(gx, gy, cell_size, n_orient)
+            np.testing.assert_array_equal(hist, want)
 
 
 class TestNormalizeCells:

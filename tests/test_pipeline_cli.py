@@ -5,8 +5,10 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from scenehog import (
     AudioClip,
+    FeatureVector,
     RunConfig,
     extract_clip,
     extract_clips,
@@ -33,8 +36,9 @@ from scenehog import (
 from scenehog import pipeline
 from scenehog import cli
 from scenehog import store
+from scenehog import util
 from scenehog.cli import main
-from scenehog.errors import ConfigError, FormatError
+from scenehog.errors import ConfigError, DataError, FormatError
 from scenehog.tfr import cqt, mean_filter, to_image
 from scenehog.util import parallel_map
 
@@ -287,6 +291,89 @@ class TestExtraction:
                 run_protocol(x, labels, n_splits=2, fixed_train_count=2, threads=threads)
 
 
+    @pytest.mark.parametrize("seg_seconds", [0.0, 0.3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matrix_equals_stacked_clip_rows(self, seg_seconds, threads):
+        """The preallocated matrix holds exactly the extract_clip rows."""
+        cfg = small_config(seg_seconds=seg_seconds)
+        clips = generate_toy(cfg)
+        parts = [p for c in clips for p in (segment(c, seg_seconds) if seg_seconds else [c])]
+        x, labels, ids, _ = extract_clips(clips, cfg, threads=threads)
+        want = np.vstack([extract_clip(p, cfg)[0].values for p in parts])
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        np.testing.assert_array_equal(x, want)
+        assert labels == [p.label for p in parts]
+        assert ids == [p.source_id for p in parts]
+
+    def test_segment_rows_counted_from_wav_headers(self, tmp_path, monkeypatch):
+        """A segmented DatasetScan is sized from the headers and each WAV
+        is still decoded once."""
+        cfg = small_config(seg_seconds=0.3)
+        for clip in generate_toy(cfg):
+            write_wav(tmp_path / clip.label / f"{clip.source_id}.wav", clip)
+        decoded = []
+        real = store.read_wav
+
+        def counted(path, label=None):
+            decoded.append(path)
+            return real(path, label=label)
+
+        monkeypatch.setattr(store, "read_wav", counted)
+        scan = scan_dataset(tmp_path)
+        x, _, ids, _ = extract_clips(scan, cfg)
+        assert sorted(decoded) == sorted(path for path, _, _ in scan.entries)
+        assert x.shape[0] == 3 * len(scan) and len(ids) == x.shape[0]
+
+    def test_row_of_another_width_rejected(self, monkeypatch):
+        cfg = small_config(n_per_class=1)
+        clips = generate_toy(cfg)
+        real = pipeline.pool
+        monkeypatch.setattr(
+            pipeline, "pool", lambda grid, c: FeatureVector(real(grid, c).values[:-1])
+        )
+        with pytest.raises(ConfigError, match="inconsistent feature dimensions"):
+            extract_clips(clips, cfg)
+
+    def test_clip_longer_than_counted_rejected(self):
+        """A sequence whose clip grows between the count and the decode
+        fails with a data error instead of writing past its rows."""
+        cfg = small_config(seg_seconds=0.3, n_per_class=1)
+        clips = generate_toy(cfg)
+
+        class Growing:
+            accesses = 0
+
+            def __len__(self):
+                return len(clips)
+
+            def __getitem__(self, i):
+                self.accesses += 1
+                clip = clips[i]
+                if self.accesses > len(clips):
+                    clip = AudioClip(np.tile(clip.samples, 2), clip.sample_rate_hz,
+                                     clip.label, clip.source_id)
+                return clip
+
+        with pytest.raises(DataError, match="segments"):
+            extract_clips(Growing(), cfg)
+
+    def test_default_clip_working_set_within_budget(self):
+        """One default 512 x 512 chain allocates at most 8 MiB at a time
+        (about three images and band-sized temporaries): no padded copies
+        of the image and no gradients held through normalisation."""
+        cfg = RunConfig()
+        clip = generate_toy(small_config(n_per_class=1))[0]
+        extract_clip(clip, cfg)  # fills the transform's kernel cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            extract_clip(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+
 class TestParallelMap:
     def test_input_order(self):
         assert parallel_map(lambda v: v * v, range(7), 2) == [v * v for v in range(7)]
@@ -295,6 +382,31 @@ class TestParallelMap:
         """One item never leaves the calling thread, whatever the cap."""
         caller = threading.current_thread()
         assert parallel_map(lambda _: threading.current_thread(), [0], 8) == [caller]
+
+    @pytest.mark.parametrize("cores, want", [(2, 2), (1, None)])
+    def test_workers_capped_at_usable_cores(self, monkeypatch, cores, want):
+        """A thread cap far above the core count starts one worker per
+        core; on one core the calling thread does the work."""
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(util, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(util, "usable_cores", lambda: cores)
+        assert parallel_map(lambda v: v + 1, range(200), 5000) == list(range(1, 201))
+        assert started == ([want] if want else [])
+
+    def test_usable_cores_follow_affinity_then_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert util.usable_cores() == 3
+        monkeypatch.delattr(util.os, "sched_getaffinity")
+        monkeypatch.setattr(util.os, "cpu_count", lambda: 6)
+        assert util.usable_cores() == 6
+        monkeypatch.setattr(util.os, "cpu_count", lambda: None)
+        assert util.usable_cores() == 1
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from scenehog import (
 from scenehog import store
 from scenehog.cli import main
 from scenehog.errors import DatasetError, FormatError
+from scenehog.util import atomic_write_bytes
 
 
 class TestFeatureFiles:
@@ -75,6 +76,41 @@ class TestFeatureFiles:
         assert peak < 1.5 * payload
         got, _, _ = read_features(tmp_path / "feat.bin")
         np.testing.assert_array_equal(got, x.astype(np.float32))
+
+    def test_payload_written_in_row_blocks(self, tmp_path, monkeypatch):
+        """The float32 payload goes out a block of rows at a time: the
+        file equals the whole-matrix conversion byte for byte, and far
+        less than the payload is allocated at once: the block being
+        written and the next one."""
+        x = np.random.default_rng(1).normal(0.0, 3.0, (4003, 512))
+        path = tmp_path / "feat.bin"
+        tracemalloc.start()
+        try:
+            write_features(path, x, ["a"] * len(x), config_hash="f" * 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = path.read_bytes()[64:]
+        assert payload == np.ascontiguousarray(x, dtype="<f4").tobytes()
+        assert peak < 2.5 * store._WRITE_BLOCK_BYTES < 0.4 * len(payload)
+        # rows of any width, blocks of one row included
+        monkeypatch.setattr(store, "_WRITE_BLOCK_BYTES", 3)
+        write_features(path, x[:5, :7], ["a"] * 5)
+        assert path.read_bytes()[64:] == np.ascontiguousarray(x[:5, :7], dtype="<f4").tobytes()
+
+    def test_parts_that_fail_midway_leave_no_file(self, tmp_path):
+        """An iterable of parts that raises after some were written
+        leaves neither the target nor the temporary file."""
+
+        def parts():
+            yield b"header"
+            yield np.ones(1000, dtype="<f4")
+            raise OSError("source went away")
+
+        target = tmp_path / "out.bin"
+        with pytest.raises(OSError, match="went away"):
+            atomic_write_bytes(target, parts())
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):

@@ -7,7 +7,13 @@ from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_
 from scenehog.errors import ConfigError
 from scenehog.tfr import _octave_kernels
 
-from oracles import cqt_oracle, cqt_profile_oracle, mean_filter_oracle, mean_filter_sliding
+from oracles import (
+    cqt_oracle,
+    cqt_profile_oracle,
+    mean_filter_oracle,
+    mean_filter_padded,
+    mean_filter_sliding,
+)
 
 # small geometry that keeps the per-frame oracle affordable
 FS = 4000
@@ -348,6 +354,17 @@ class TestMeanFilter:
             np.testing.assert_allclose(
                 mean_filter_sliding(img, k), mean_filter_oracle(img, k), rtol=0, atol=1e-14
             )
+
+    @pytest.mark.parametrize(
+        "shape", [(512, 512), (33, 65), (65, 33), (31, 31), (17, 29), (2, 7), (7, 2)]
+    )
+    def test_bit_identical_to_padded_copies(self, shape):
+        """Views of interior bands and gathered edge blocks give the bits
+        of the version that padded the whole image, at even and odd k and
+        at windows wider than the image."""
+        img = np.random.default_rng(sum(shape)).random(shape)
+        for k in (1, 2, 3, 4, 15, 16, max(shape) + 3):
+            np.testing.assert_array_equal(mean_filter(img, k), mean_filter_padded(img, k))
 
     def test_output_is_a_fresh_c_contiguous_array(self):
         img = np.asfortranarray(np.random.default_rng(42).random((40, 50)))
