@@ -11,10 +11,12 @@ solver.  Features go through float32 first, as they do on
 their way through a feature file to ``scenehog experiment``.  It then
 writes the set out as WAV files and runs ``scenehog extract`` on them in
 a child process under the same config and worker count, whose peak
-resident memory is ``extract_rss_mb``.  It prints one tab separated
-line per size:
+resident memory is ``extract_rss_mb``, and ``scenehog experiment`` on
+the feature file that child wrote in another, one split at
+``train_frac`` 0.8 (seed 1), whose peak is ``experiment_rss_mb``.  It
+prints one tab separated line per size:
 
-    clips_per_class  rows  extract_s  split_s  map  c  extract_rss_mb
+    clips_per_class  rows  extract_s  split_s  map  c  extract_rss_mb  experiment_rss_mb
 
 The benchmark workloads use 8 clips per class.  The source paper's set
 has about 160, and from about 40 on evaluation costs more than
@@ -51,9 +53,9 @@ DEFAULT_SIZES = (8, 40, 80)
 SEED = 1
 SPLIT_RUNS = 3
 
-# `scenehog extract` in a fresh process, then its own peak RSS in MB on
+# a `scenehog` command in a fresh process, then its own peak RSS in MB on
 # the last stdout line; benchmark and probe read it the same way.
-EXTRACT_CHILD = """
+CLI_CHILD = """
 import sys
 from scenehog.cli import main
 from worker import _peak_rss_mb
@@ -63,18 +65,19 @@ sys.exit(rc)
 """
 
 
-def extract_rss_mb(data: Path, out: Path) -> float:
-    """Peak resident MB of a child `scenehog extract --data data --out out`."""
+def cli_rss_mb(*args: str) -> float:
+    """Peak resident MB of a child `scenehog ARGS...`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))
     proc = subprocess.run(
-        [sys.executable, "-c", EXTRACT_CHILD, "extract", "--data", str(data), "--out", str(out)],
+        [sys.executable, "-c", CLI_CHILD, *args],
         env=env, capture_output=True, text=True, check=True,
     )
     return float(proc.stdout.splitlines()[-1])
 
 
-def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float, float]:
-    """(rows, extraction s, median split s, MAP, chosen C, extract peak RSS MB)."""
+def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float, float, float]:
+    """(rows, extraction s, median split s, MAP, chosen C, extract and
+    experiment peak RSS MB)."""
     clips = make_scenes19(SEED, n_per_class)
     start = time.perf_counter()
     x, labels, _, _ = extract_clips(clips, RunConfig())
@@ -90,8 +93,16 @@ def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float
     for clip in clips:
         write_wav(data / clip.label / f"{clip.source_id}.wav", clip)
     del clips  # let the child decode the set without this copy alongside
-    rss_mb = extract_rss_mb(data, work / f"scenes19-{n_per_class}.features")
-    return x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0]), rss_mb
+    features = work / f"scenes19-{n_per_class}.features"
+    extract_mb = cli_rss_mb("extract", "--data", str(data), "--out", str(features))
+    experiment_mb = cli_rss_mb(
+        "experiment", "--features", str(features), "--report", str(work / "report.txt"),
+        "--set", "n_splits=1", "--set", f"seed={SEED}", "--set", "train_frac=0.8",
+    )
+    return (
+        x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0]),
+        extract_mb, experiment_mb,
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -102,12 +113,13 @@ def main(argv: list[str]) -> int:
     if not sizes or min(sizes) < 5:
         print("usage: scale_probe.py [CLIPS_PER_CLASS ...]  (each at least 5)", file=sys.stderr)
         return 2
-    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb")
+    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb\texperiment_rss_mb")
     for n in sizes:
         with tempfile.TemporaryDirectory(prefix="scale_probe.") as work:
-            rows, extract_s, split_s, score, c, rss_mb = probe(n, Path(work))
+            rows, extract_s, split_s, score, c, extract_mb, experiment_mb = probe(n, Path(work))
         print(
-            f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}\t{rss_mb:.1f}",
+            f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}"
+            f"\t{extract_mb:.1f}\t{experiment_mb:.1f}",
             flush=True,
         )
     return 0

@@ -171,6 +171,7 @@ def run_protocol(
         model = svm.train_one_vs_one(
             x_train, train_labels, c, spec, classes=classes, standardizer=scaler, tol=tol
         )
+        del x_train  # the model holds its own copy of its support rows
         # predict returns class names; they are sorted, so one search gives their indices
         pred = np.searchsorted(names, svm.predict(model, x[test_idx]))
         true = codes[test_idx]

@@ -56,6 +56,8 @@ def write_features(
     labels = [str(v) for v in labels]
     if len(labels) != x.shape[0]:
         raise FormatError(f"{x.shape[0]} feature rows but {len(labels)} labels")
+    if x.shape[1] == 0:
+        raise FormatError("a feature matrix needs at least one column")
     tag = config_hash.encode("ascii")[:_HASH_BYTES].ljust(_HASH_BYTES, b"\x00")
     header = (
         _FEATURE_MAGIC
@@ -74,7 +76,8 @@ def write_features(
 def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
     """Read a feature file; returns (matrix as float64, labels, extraction hash).
 
-    A file holding a NaN or infinite value is refused with FormatError.
+    A file with no columns or holding a NaN or infinite value is refused
+    with FormatError.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -84,15 +87,18 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
     if version != _FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported feature file version {version}")
     n_rows, n_dims = struct.unpack_from("<QQ", data, 8)
+    if n_dims == 0:
+        raise FormatError(f"{path}: feature file has no columns")
     config_hash = data[24:24 + _HASH_BYTES].rstrip(b"\x00").decode("ascii")
     expected = n_rows * n_dims * 4
-    payload = data[_HEADER_BYTES:]
-    if len(payload) != expected:
+    payload_bytes = len(data) - _HEADER_BYTES
+    if payload_bytes != expected:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} "
+            f"{path}: payload is {payload_bytes} bytes, expected {expected} "
             f"for {n_rows}x{n_dims} float32"
         )
-    x = np.frombuffer(payload, dtype="<f4").reshape(n_rows, n_dims)
+    x = np.frombuffer(data, dtype="<f4", count=n_rows * n_dims, offset=_HEADER_BYTES)
+    x = x.reshape(n_rows, n_dims)
     if not np.all(np.isfinite(x)):
         raise FormatError(f"{path}: non-finite feature values")
     side = labels_path(path)

@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 STD_FLOOR = 1e-12
+_STD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,14 @@ def _kernel_base(x: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
     (clamped at 0) for the gaussian one."""
     if kind == "linear":
         return x @ z.T
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(z * z, axis=1)[None, :]
-        - 2.0 * (x @ z.T)
-    )
+    sq = _row_norms(x)[:, None] + _row_norms(z)[None, :] - 2.0 * (x @ z.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=1) 16 rows at a time (each row sums alike)."""
+    return np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(16, len(x), 16))])
 
 
 def _kernel_map(base: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -165,7 +167,9 @@ class Standardizer:
             raise ConfigError(
                 f"standardizer fitted on {self.mean.size} features, got {x.shape[1]}"
             )
-        return (x - self.mean) / self.std
+        out = np.subtract(x, self.mean)
+        out /= self.std
+        return out
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
@@ -173,7 +177,11 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
     if x.shape[0] < 1:
         raise TrainingError("cannot standardize an empty matrix")
     mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    # x.std(axis=0) a block of columns at a time; blocks of >= _STD_BLOCK / 2
+    # columns sum row by row as it does (a lone column would sum pairwise)
+    d = x.shape[1]
+    k = -(-d // _STD_BLOCK) or 1
+    std = np.concatenate([x[:, j * d // k:(j + 1) * d // k].std(axis=0) for j in range(k)])
     std = np.where(std < STD_FLOOR, 1.0, std)
     return Standardizer(mean, std)
 
@@ -739,11 +747,12 @@ def model_select(
     c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
     totals = np.zeros((len(c_values), len(sigmas)))
     for learn_idx, val_idx in halves:
-        x_learn, x_val, val_codes = x[learn_idx], x[val_idx], codes[val_idx]
+        x_learn, val_codes = x[learn_idx], codes[val_idx]
         split = list(_class_pairs(codes[learn_idx], classes))
         pairs = [pair for pair, _, _ in split]
         base_gram = _kernel_base(x_learn, x_learn, kernel_kind)
-        base_cross = _kernel_base(x_learn, x_val, kernel_kind)
+        base_cross = _kernel_base(x_learn, x[val_idx], kernel_kind)
+        del x_learn  # before the next half's rows are copied
         for si, spec in enumerate(specs):
             gram, cross = _kernel_map(base_gram, spec), _kernel_map(base_cross, spec)
             values = np.empty((len(pairs), len(c_values), val_idx.size))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,27 @@ class TestRunProtocol:
         np.testing.assert_array_equal(a.per_split_map, b.per_split_map)
         np.testing.assert_array_equal(a.confusion_sum, b.confusion_sum)
         np.testing.assert_array_equal(a.chosen_c, b.chosen_c)
+
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    def test_one_split_memory_budget(self, kernel):
+        """One split holds one standardised copy of the training rows and
+        one learning half's rows next to the input, not the raw and the
+        standardised rows together, two halves' copies at once or the
+        squares of a half's rows."""
+        rng = np.random.default_rng(5)
+        labels = np.repeat(["a", "b", "c"], 100)
+        x = rng.standard_normal((300, 3072)) + (np.arange(300) % 3)[:, None] * 0.05
+        tracemalloc.start()
+        try:
+            report = run_protocol(
+                x, labels, n_splits=1, seed=1, kernel_kind=kernel, c_grid=np.array([0.01, 1.0]),
+                sigma_grid=(50.0, 100.0), threads=1,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        train_bytes = report.n_train * x.shape[1] * x.itemsize
+        assert peak < 2.5 * train_bytes
 
     def test_gaussian_kernel_path(self):
         x, labels = blob_data(n_per_class=8)

@@ -20,12 +20,14 @@ def test_smallest_size_runs():
     assert proc.returncode == 0, proc.stderr
     header, line = proc.stdout.strip().splitlines()
     assert header.split("\t") == [
-        "clips_per_class", "rows", "extract_s", "split_s", "map", "c", "extract_rss_mb"
+        "clips_per_class", "rows", "extract_s", "split_s", "map", "c",
+        "extract_rss_mb", "experiment_rss_mb",
     ]
-    n, rows, extract_s, split_s, score, c, rss_mb = line.split("\t")
+    n, rows, extract_s, split_s, score, c, extract_mb, experiment_mb = line.split("\t")
     assert (int(n), int(rows)) == (5, 95)
     assert float(extract_s) > 0.0 and float(split_s) > 0.0
-    assert 10.0 < float(rss_mb) < 1000.0
+    assert 10.0 < float(extract_mb) < 1000.0
+    assert 10.0 < float(experiment_mb) < 1000.0
     assert 0.0 <= float(score) <= 1.0
     assert np.isclose(10.0 ** np.linspace(-3.0, 2.0, 10), float(c), rtol=1e-5).any()
 

@@ -165,6 +165,38 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             write_features(tmp_path / "f.bin", np.ones((3, 2)), ["a"])
 
+    def test_zero_columns_refused(self, tmp_path, capsys):
+        """A matrix with no columns is neither written nor read, so
+        experiment exits 3 instead of scoring rows of nothing."""
+        labels = ["a", "b"] * 10
+        with pytest.raises(FormatError, match="column"):
+            write_features(tmp_path / "w.bin", np.ones((20, 0)), labels)
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "feat.bin"
+        path.write_bytes(b"HFTR" + struct.pack("<IQQ", 1, 20, 0) + b"\x00" * 40)
+        (tmp_path / "feat.bin.labels").write_text("".join(v + "\n" for v in labels))
+        with pytest.raises(FormatError, match="no columns"):
+            read_features(path)
+        rc = main(["experiment", "--features", str(path), "--report", str(tmp_path / "r.txt")])
+        assert rc == 3
+        assert "no columns" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_read_holds_the_file_and_one_matrix(self, tmp_path):
+        """read_features makes no copy of the payload: its peak is the
+        file's bytes plus the float64 matrix plus a small margin."""
+        x = np.random.default_rng(3).normal(0.0, 2.0, (400, 1024))
+        path = tmp_path / "feat.bin"
+        write_features(path, x, ["a", "b"] * 200)
+        tracemalloc.start()
+        try:
+            got, _, _ = read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, x.astype(np.float32))
+        assert peak < path.stat().st_size + got.nbytes + (64 << 10)
+
 
 class TestScanDataset:
     def build(self, root):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ class TestKernelMatrix:
             assert mapped.tobytes() == kernel_matrix(x, z, spec).tobytes()
         assert base.tobytes() == before.tobytes()
 
+    def test_gaussian_base_is_the_one_shot_expression(self):
+        """The gaussian base block takes its row norms a few rows at a
+        time and equals the whole-matrix expression bit for bit, for row
+        counts around the block size and rows longer than numpy's
+        pairwise summation block."""
+        rng = np.random.default_rng(11)
+        for n, m in ((1, 1), (15, 16), (16, 17), (40, 33), (0, 3)):
+            x, z = rng.standard_normal((n, 300)), rng.standard_normal((m, 300))
+            sq = np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :] - 2.0 * (x @ z.T)
+            expected = np.maximum(sq, 0.0)
+            assert svm_module._kernel_base(x, z, "gaussian").tobytes() == expected.tobytes()
+
 
 class TestStandardizer:
     def test_train_statistics_removed(self):
@@ -141,6 +154,44 @@ class TestStandardizer:
         z = fit_standardizer(x).apply(x)
         np.testing.assert_array_equal(z[:, 0], 0.0)
         assert np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize("block", [4, svm_module._STD_BLOCK])
+    @pytest.mark.parametrize("rows", [1, 9, 130])
+    def test_blockwise_std_is_numpy_std(self, monkeypatch, block, rows):
+        """The column-block deviation pass gives x.std(axis=0) bit for
+        bit: widths of one block, of several with a narrow remainder,
+        one row, and constant columns."""
+        monkeypatch.setattr(svm_module, "_STD_BLOCK", block)
+        rng = np.random.default_rng(rows)
+        for width in (1, 2, block, block + 1, 2 * block + 1, 12 * block + 3):
+            x = rng.normal(0.0, 1.0, (rows, width)) * rng.uniform(0.01, 100.0, width)
+            x[:, ::5] = 3.7
+            x = x.astype(np.float32).astype(np.float64)
+            fitted = fit_standardizer(x)
+            expected = x.std(axis=0)
+            expected = np.where(expected < svm_module.STD_FLOOR, 1.0, expected)
+            assert fitted.std.tobytes() == expected.tobytes()
+            assert fitted.mean.tobytes() == x.mean(axis=0).tobytes()
+
+    def test_fit_and_apply_hold_one_matrix_sized_array(self):
+        """fit_standardizer holds one block of deviations, not a copy of
+        x; apply allocates its output and nothing else of x's size, is
+        (x - mean) / std bit for bit and leaves x unchanged."""
+        x = np.random.default_rng(7).normal(2.0, 3.0, (300, 1024))
+        before = x.copy()
+        tracemalloc.start()
+        try:
+            fitted = fit_standardizer(x)
+            _, fit_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            z = fitted.apply(x)
+            _, apply_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < 0.5 * x.nbytes
+        assert apply_peak < 1.1 * x.nbytes
+        assert z.tobytes() == ((x - fitted.mean) / fitted.std).tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 class TestBinarySvm:
