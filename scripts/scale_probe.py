@@ -7,7 +7,11 @@ config with one worker, and runs one split of the evaluation protocol
 on it: linear kernel, ``train_frac`` 0.8, default C grid and five
 resampled halves.  ``split_s`` is the median of SPLIT_RUNS runs of that
 split, since one run's time spreads too widely to show a change of the
-solver.  Features go through float32 first, as they do on
+solver.  One more run of the split counts the solver's work by wrapping
+``svm.train_binary``: ``solves`` machines solved afresh, ``reused``
+machines that returned their prior's solution (``alpha_signed`` is the
+prior's) and ``smo_steps``, the SMO steps of the fresh solves.
+Features go through float32 first, as they do on
 their way through a feature file to ``scenehog experiment``.  It then
 writes the set out as WAV files and runs ``scenehog extract`` on them in
 a child process under the same config and worker count, whose peak
@@ -17,6 +21,7 @@ the feature file that child wrote in another, one split at
 prints one tab separated line per size:
 
     clips_per_class  rows  extract_s  split_s  map  c  extract_rss_mb  experiment_rss_mb
+    solves  reused  smo_steps
 
 The benchmark workloads use 8 clips per class.  The source paper's set
 has about 160, and from about 40 on evaluation costs more than
@@ -46,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PATHS = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.path[:0] = PATHS
 
-from scenehog import RunConfig, extract_clips, run_protocol, write_wav  # noqa: E402
+from scenehog import RunConfig, extract_clips, run_protocol, svm, write_wav  # noqa: E402
 from scenes19 import make_scenes19  # noqa: E402
 
 DEFAULT_SIZES = (8, 40, 80)
@@ -75,9 +80,33 @@ def cli_rss_mb(*args: str) -> float:
     return float(proc.stdout.splitlines()[-1])
 
 
-def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float, float, float]:
+def solver_work(x: np.ndarray, labels) -> tuple[int, int, int]:
+    """(solves, reused, smo_steps) of one split, counted by wrapping
+    svm.train_binary while it runs."""
+    work = [0, 0, 0]
+    real = svm.train_binary
+
+    def counted(*args, **kwargs):
+        machine = real(*args, **kwargs)
+        prior = kwargs.get("prior")
+        if prior is not None and machine.alpha_signed is prior.alpha_signed:
+            work[1] += 1
+        else:
+            work[0] += 1
+            work[2] += machine.solve.iterations
+        return machine
+
+    svm.train_binary = counted
+    try:
+        run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
+    finally:
+        svm.train_binary = real
+    return work[0], work[1], work[2]
+
+
+def probe(n_per_class: int, work: Path) -> tuple:
     """(rows, extraction s, median split s, MAP, chosen C, extract and
-    experiment peak RSS MB)."""
+    experiment peak RSS MB, solves, reused, smo_steps)."""
     clips = make_scenes19(SEED, n_per_class)
     start = time.perf_counter()
     x, labels, _, _ = extract_clips(clips, RunConfig())
@@ -89,6 +118,7 @@ def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float
         report = run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
         split_times.append(time.perf_counter() - start)
     split_s = float(np.median(split_times))
+    solver = solver_work(x, labels)
     data = work / f"scenes19-{n_per_class}"
     for clip in clips:
         write_wav(data / clip.label / f"{clip.source_id}.wav", clip)
@@ -101,7 +131,7 @@ def probe(n_per_class: int, work: Path) -> tuple[int, float, float, float, float
     )
     return (
         x.shape[0], extract_s, split_s, report.map_mean, float(report.chosen_c[0]),
-        extract_mb, experiment_mb,
+        extract_mb, experiment_mb, *solver,
     )
 
 
@@ -113,13 +143,18 @@ def main(argv: list[str]) -> int:
     if not sizes or min(sizes) < 5:
         print("usage: scale_probe.py [CLIPS_PER_CLASS ...]  (each at least 5)", file=sys.stderr)
         return 2
-    print("clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb\texperiment_rss_mb")
+    print(
+        "clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb\texperiment_rss_mb"
+        "\tsolves\treused\tsmo_steps"
+    )
     for n in sizes:
         with tempfile.TemporaryDirectory(prefix="scale_probe.") as work:
-            rows, extract_s, split_s, score, c, extract_mb, experiment_mb = probe(n, Path(work))
+            rows, extract_s, split_s, score, c, extract_mb, experiment_mb, *solver = probe(
+                n, Path(work)
+            )
         print(
             f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}"
-            f"\t{extract_mb:.1f}\t{experiment_mb:.1f}",
+            f"\t{extract_mb:.1f}\t{experiment_mb:.1f}\t" + "\t".join(map(str, solver)),
             flush=True,
         )
     return 0

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .audio import write_wav
 from .errors import ConfigError, DataError, DatasetError, ScenehogError
-from .evaluation import read_report, stratified_split, write_report
+from .evaluation import check_class_names, read_report, stratified_split, write_report
 from .metrics import column_normalize, wilcoxon_signed_rank
 from .pipeline import extract_clips, generate_toy, parse_config_file, run_experiment
 from .store import SplitManifest, read_features, scan_dataset, write_features, write_pgm
@@ -143,6 +143,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"(extraction hash {stored or 'missing'}, expected {expected}); "
             "re-extract it or set the keys it was extracted with"
         )
+    check_class_names(set(labels))
     report = run_experiment(x, labels, cfg, threads=args.threads)
     write_report(args.report, report)
     if args.manifest_dir:

@@ -23,6 +23,7 @@ __all__ = [
     "EvalReport",
     "stratified_split",
     "run_protocol",
+    "check_class_names",
     "write_report",
     "read_report",
 ]
@@ -148,6 +149,8 @@ def run_protocol(
         raise ConfigError(f"{x.shape[0]} feature rows but {labels.size} labels")
     if not np.all(np.isfinite(x)):
         raise DataError("features contain NaN or infinite values")
+    if x.shape[1] == 0:
+        raise DataError("features have no columns")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
     classes, codes = class_codes(labels)
@@ -212,12 +215,20 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def check_class_names(names) -> None:
+    """Refuse (DataError) names that a report's comma separated lines cannot hold."""
+    bad = sorted(name for name in names if "," in name or name.splitlines() not in ([], [name]))
+    if bad:
+        raise DataError(f"class names {bad} hold a comma or a line break")
+
+
 def write_report(path: str | Path, report: EvalReport) -> None:
     """Write a report as a key=value header plus CSV blocks.
 
     The rendering is deterministic, so reports from identical runs are
     byte identical.
     """
+    check_class_names(report.classes)
     lines = [
         f"format={_REPORT_FORMAT}",
         f"version={_REPORT_VERSION}",

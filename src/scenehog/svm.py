@@ -20,21 +20,15 @@ scores the grid with one vote per half and sigma.
 A model stores the training rows its machines use once, and predict
 scores every machine from one kernel block against them.
 
-Every solve also returns a certificate of what it compared against C:
-the largest alpha it held, the smallest value it compared above atol,
-and whether a C-dependent bound (a clip at C, C + a_j - a_i or
-a_i + a_j - C, or the snap to C) was taken.  When no bound was taken
-and every alpha stayed below C - atol, the solve never saw C except
-through comparisons whose outcome the certificate fixes, so the same
-problem at a larger C follows the same steps to the same bits (the
-regularisation path is flat in C while no multiplier sits at the box).
-train_binary(prior=) checks that at the new C and then returns the
-prior's solution without solving; model selection walks each pair's C
-values in ascending order to use it.  The solve reads only the Gram,
-never the feature rows, so a caller that passes a Gram may pass None
-for x (model selection and train_one_vs_one do, and copy no pair's
-rows), and a prior is reused on the key (Gram object, label bytes, tol,
-max_iter, kernel), which train_binary tests before anything else.
+train_binary(prior=) returns a prior machine's solution at a new C
+without solving when the alpha that solve returned already meets the
+stopping rule there (Fan, Chen and Lin, JMLR 2005; _Solve.holds_at);
+model selection walks each pair's C values in ascending order to use
+it.  The solve reads only the Gram, never the feature rows, so a
+caller that passes a Gram may pass None for x (model selection and
+train_one_vs_one do, and copy no pair's rows), and a prior is reused
+on the key (Gram object, label bytes, tol, max_iter, kernel), which
+train_binary tests before anything else.
 
 The dual problem solved for each binary machine is
 
@@ -232,11 +226,12 @@ def _atol(c: float) -> float:
 
 
 class _Solve(NamedTuple):
-    """What an SMO solve ran on, and its certificate (see _smo).
+    """What an SMO solve ran on, and the extremes of the alpha it returned.
 
     gram is a weak reference to the kernel matrix, so a machine does not
     keep it alive; labels holds the bytes of y and max_iter the value
-    train_binary was given.
+    train_binary was given.  amax is the largest alpha, amin the
+    smallest above atol (inf if none).
     """
 
     gram: weakref.ref
@@ -246,23 +241,21 @@ class _Solve(NamedTuple):
     iterations: int
     amax: float
     amin: float
-    bound: bool
 
     def holds_at(self, c_prior: float, c: float) -> bool:
-        """Whether every comparison the solve made at c_prior against C,
-        C - atol or atol has the same outcome at c.
+        """Whether the alpha returned at c_prior meets the stopping rule at c.
 
-        No C-dependent bound was taken, every alpha stayed below
-        C - atol at both costs, and atol either did not change or grew
-        while staying below every value compared above it.  A value
-        compared at or below a larger atol may lie above a smaller one,
-        and the certificate does not record those values, so a solve is
-        not carried to a cost whose atol is smaller.
+        Every alpha lies below C - atol at both costs and atol did not
+        change or grew while staying below amin, so each alpha sits on
+        the same side of C - atol and of atol at both costs: the masks,
+        f (which does not depend on C), m - M, the bias and the support
+        are the prior's, and a solve started from the prior takes no
+        step.  An alpha at or below a larger atol may lie above a
+        smaller one, so a solve is not carried to a smaller atol.
         """
         atol_prior, atol = _atol(c_prior), _atol(c)
         return (
-            not self.bound
-            and self.amax < c_prior - atol_prior
+            self.amax < c_prior - atol_prior
             and self.amax < c - atol
             and (atol == atol_prior or atol_prior < atol < self.amin)
         )
@@ -275,7 +268,6 @@ def _not_converged(tol: float, gap: float, why: str) -> TrainingError:
 def _pair_step(
     y_i: float, y_j: float, a_i: float, a_j: float, f_i: float, f_j: float,
     k_ii: float, k_jj: float, k_ij: float, c: float, tol: float, atol: float,
-    cert: list,
 ) -> tuple[float, float, float, float]:
     """(delta_i, delta_j, new alpha_i, new alpha_j) of one SMO step on
     the working pair (i, j).
@@ -284,46 +276,27 @@ def _pair_step(
     leave it, and snaps values within atol of a bound onto the bound.
     Raises TrainingError when the step rounds to nothing: the caller
     only steps while m - M = f_i - f_j > tol, so a pinned pair leaves
-    the solve short of tolerance.  Records the step in the certificate
-    cert = [amax, amin, bound] of _smo.
+    the solve short of tolerance.
     """
     sign = y_i * y_j
-    # lo_c and hi_c are the C-dependent ends of the segment
     if sign < 0:
-        lo = max(0.0, a_j - a_i)
-        hi = hi_c = min(c, c + a_j - a_i)
-        lo_c = -math.inf
+        lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
     else:
-        lo_c = a_i + a_j - c
-        lo = max(0.0, lo_c)
-        hi = min(c, a_i + a_j)
-        hi_c = c
+        lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
     eta = max(k_ii + k_jj - 2.0 * k_ij, 1e-12)
     # -f is the bias-free prediction error, so this is the classic
     # Platt step for the second variable.
     new_j = a_j + y_j * (f_j - f_i) / eta
     new_j = min(max(new_j, lo), hi)
-    bound = lo_c >= new_j or hi_c <= new_j
     if new_j < atol:
         new_j = 0.0
     elif new_j > c - atol:
         new_j = c
-        bound = True
-    elif new_j < cert[1]:
-        cert[1] = new_j
     delta_j = new_j - a_j
     if delta_j == 0.0:
         raise _not_converged(tol, f_i - f_j, "the working pair is pinned at the box")
     delta_i = -sign * delta_j
-    new_i, new_j = a_i + delta_i, a_j + delta_j
-    for a_t in (new_i, new_j):
-        if a_t > cert[0]:
-            cert[0] = a_t
-        if atol < a_t < cert[1]:
-            cert[1] = a_t
-    if bound:
-        cert[2] = True
-    return delta_i, delta_j, new_i, new_j
+    return delta_i, delta_j, a_i + delta_i, a_j + delta_j
 
 
 def _bias(f: list, up: list, low: list) -> float:
@@ -352,8 +325,8 @@ def _bias(f: list, up: list, low: list) -> float:
 
 def _smo(
     k: np.ndarray, y: np.ndarray, c: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, int, tuple[float, float, bool]]:
-    """Core solver on a precomputed kernel matrix.
+) -> tuple[np.ndarray, float, int]:
+    """Core solver on a precomputed kernel matrix; returns (alpha, bias, iterations).
 
     Works on the violation vector f = -y g, where g = Q alpha - 1 is the
     dual gradient (Q = yy' * K).  Each step updates the pair (i, j)
@@ -371,23 +344,10 @@ def _smo(
     on ties) and f is updated as f[t] - (a K[i, t] + b K[j, t]); above
     it they are NumPy arrays.  Both evaluate the same IEEE operations in
     the same order, so they return the same bits.
-
-    Returns (alpha, bias, iterations, certificate).  The certificate
-    (amax, amin, bound) covers every comparison the solve makes against
-    C, C - atol or atol, atol = 1e-12 max(C, 1); everything else it
-    computes is independent of C.  amax is the largest alpha it held,
-    starting from 0.0, which also covers the opening test 0 < C - atol.
-    amin is the smallest value it compared above atol: a clamped alpha_j
-    that was not snapped, or an alpha above atol in a mask update (inf
-    if none).  bound says whether a step clipped alpha_j at a C-dependent
-    end of its segment (C, C + a_j - a_i or a_i + a_j - C) or snapped it
-    to C.  _Solve.holds_at turns these into the test for reusing the
-    solve at another C.
     """
     n = y.size
     atol = _atol(c)
     top = c - atol
-    cert = [0.0, math.inf, False]
     ys = y.tolist()
     pos = [v > 0 for v in ys]
     alpha = [0.0] * n
@@ -418,7 +378,7 @@ def _smo(
             k_i, k_j = rows[i], rows[j]
             d_i, d_j, alpha[i], alpha[j] = _pair_step(
                 ys[i], ys[j], alpha[i], alpha[j], f_i, f_j,
-                k_i[i], k_j[j], k_i[j], c, tol, atol, cert,
+                k_i[i], k_j[j], k_i[j], c, tol, atol,
             )
             a, b = ys[i] * d_i, ys[j] * d_j
             f = [f_t - (a * k_it + b * k_jt) for f_t, k_it, k_jt in zip(f, k_i, k_j)]
@@ -442,7 +402,7 @@ def _smo(
             it += 1
             d_i, d_j, alpha[i], alpha[j] = _pair_step(
                 ys[i], ys[j], float(alpha[i]), float(alpha[j]), f_i, f_j,
-                float(k[i, i]), float(k[j, j]), float(k[i, j]), c, tol, atol, cert,
+                float(k[i, i]), float(k[j, j]), float(k[i, j]), c, tol, atol,
             )
             f -= ys[i] * d_i * k[i] + ys[j] * d_j * k[j]
             for t in (i, j):
@@ -451,7 +411,7 @@ def _smo(
                 low[t] = a_t > atol if pos[t] else a_t < top
         f, up, low = f.tolist(), up.tolist(), low.tolist()
 
-    return np.asarray(alpha, dtype=np.float64), _bias(f, up, low), it, tuple(cert)
+    return np.asarray(alpha, dtype=np.float64), _bias(f, up, low), it
 
 
 def train_binary(
@@ -478,14 +438,12 @@ def train_binary(
     unmodified gram object, with the same label bytes, kernel, tol and
     max_iter (x is not part of that key).  Those arguments were checked
     when the prior was solved, so the prior is tested first and only c
-    is checked again.  If c is valid and the prior's solve certificate
-    holds at it (_Solve.holds_at: no C-dependent bound taken, every
-    alpha below C - atol at both costs, and atol unchanged or still
-    below every value compared above it), the solve at c would take the
-    same steps to the same bits, so the returned machine shares the
-    prior's alpha, bias and support indices with c as its cost, and _smo
-    does not run.  Any other prior is ignored and the machine is solved
-    afresh.  A solved machine's support and alpha_signed arrays are
+    is checked again.  If c is valid and the prior's returned alpha
+    meets the stopping rule at c as it is (_Solve.holds_at), the machine
+    shares the prior's alpha, bias and support indices with c as its
+    cost, and _smo does not run: a solution at c within tol, though not
+    always the bits of a solve from alpha = 0 at c.  Any other prior is
+    ignored.  A solved machine's support and alpha_signed arrays are
     read-only, so the machines that share them cannot change each other.
     """
     # a prior solved afresh on this very gram object and these label
@@ -528,14 +486,15 @@ def train_binary(
             raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
 
     cap = max_iter if max_iter > 0 else max(100_000, 1_000 * y.size)
-    alpha, bias, it, cert = _smo(k, y, c, tol, cap)
+    alpha, bias, it = _smo(k, y, c, tol, cap)
     sv = alpha > _atol(c)
     support, alpha_signed = np.flatnonzero(sv), (alpha * y)[sv]
     # read-only from the start, so machines that reuse this solve share them
     support.flags.writeable = alpha_signed.flags.writeable = False
+    amax, amin = float(alpha.max()), float(alpha[sv].min(initial=math.inf))
     return BinarySvm(
         support, alpha_signed, bias, kernel, c,
-        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, *cert),
+        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, amax, amin),
     )
 
 
@@ -591,6 +550,8 @@ def train_one_vs_one(
     each on its pair's block of one kernel matrix over all rows; the
     rows any machine keeps as support vectors are stored once."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] == 0:
+        raise TrainingError("features have no columns")
     if classes is None:
         classes, codes = class_codes(labels)
     else:
@@ -639,15 +600,9 @@ def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> n
 
 def predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Predicted class names for the rows of x, which the model's
-    standardizer, when it has one, maps first.
-
-    One kernel block of the model's support vectors against x scores
-    every machine.  Each pairwise machine votes for the class favoured
-    by the sign of its decision value (ties at exactly zero go to the
-    lower indexed class).  The class with most votes wins; vote ties
-    are broken by the larger sum of |decision| over the machines
-    involving the class, and any remaining tie by class order.
-    """
+    standardizer, when it has one, maps first.  One kernel block of the
+    model's support vectors against x scores every machine, and the
+    machines vote as _vote describes."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.standardizer is not None:
         x = model.standardizer.apply(x)
@@ -694,6 +649,8 @@ def model_select(
     tol.  Returns (c, sigma_or_None, best_score).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] == 0:
+        raise TrainingError("features have no columns")
     if c_grid is None:
         c_grid = default_c_grid()
     if sigma_grid is None:
@@ -716,7 +673,7 @@ def model_select(
     if not sigmas:
         raise ConfigError("sigma_grid is empty")
     specs = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s) for s in sigmas]
-    # (C index, sigma index), in the order candidates are preferred on ties
+    # (C index, sigma index) in the order preferred on ties; max keeps the first
     candidates = sorted(
         ((ci, si) for ci in range(len(c_values)) for si in range(len(sigmas))),
         key=lambda cs: (c_values[cs[0]], sigmas[cs[1]] or 0.0),
@@ -734,16 +691,10 @@ def model_select(
         ci, si = candidates[0]
         return c_values[ci], sigmas[si], 0.0
 
-    # Every candidate trains the same pair machines on the same rows, so
-    # the sigma-free blocks of the learning half and of it against the
-    # validation half are computed once per half, and each sigma maps
-    # them to its kernel matrices; each pair's Gram and validation block
-    # are row slices of those, shared by the whole C grid.  The grid is
-    # walked in ascending C so each machine can take over the solve at
-    # the C below it (train_binary's prior); a machine that did keeps
-    # that solve's decision values.  _vote treats every column on its
-    # own, so one vote over the decision values of every C, and one MAP
-    # pass on class indices, score the whole grid.
+    # Each pair's Gram and validation block are row slices of one
+    # sigma-free base per half, mapped per sigma and shared by the C grid.
+    # C ascends so each machine may reuse the solve below it (prior=) and
+    # its decision values; one vote and one MAP pass score every C.
     c_order = sorted(range(len(c_values)), key=c_values.__getitem__)
     totals = np.zeros((len(c_values), len(sigmas)))
     for learn_idx, val_idx in halves:
@@ -772,12 +723,9 @@ def model_select(
             pred = pred.reshape(len(c_values), -1)
             totals[:, si] += map_score_codes(val_codes, pred, len(classes))
 
-    best, best_score = candidates[0], -1.0
-    for ci, si in candidates:
-        score = float(totals[ci, si] / len(halves))
-        if score > best_score:
-            best, best_score = (ci, si), score
-    return c_values[best[0]], sigmas[best[1]], best_score
+    scores = totals / len(halves)
+    ci, si = max(candidates, key=lambda cs: scores[cs])
+    return c_values[ci], sigmas[si], float(scores[ci, si])
 
 
 # ---------------------------------------------------------------------------

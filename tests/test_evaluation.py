@@ -5,9 +5,14 @@ import pytest
 
 from scenehog import (
     EvalReport,
+    KernelSpec,
+    RunConfig,
+    model_select,
     read_report,
     run_protocol,
     stratified_split,
+    train_one_vs_one,
+    write_features,
     write_report,
 )
 from scenehog import evaluation, svm
@@ -209,6 +214,17 @@ class TestRunProtocol:
         with pytest.raises(ConfigError):
             run_protocol(np.zeros((4, 2)), ["a", "b"], n_splits=1)
 
+    def test_zero_columns_refused(self):
+        """Rows of no features are refused by the protocol, model
+        selection and training instead of being scored."""
+        x, labels = np.ones((20, 0)), ["a", "b"] * 10
+        with pytest.raises(DataError, match="no columns"):
+            run_protocol(x, labels, n_splits=2)
+        with pytest.raises(DataError, match="no columns"):
+            model_select(x, labels)
+        with pytest.raises(DataError, match="no columns"):
+            train_one_vs_one(x, labels, 1.0, KernelSpec("linear"))
+
     def test_tol_reaches_model_selection(self, monkeypatch):
         """Every machine, in model selection and in the final one against
         one training, trains to the caller's tolerance."""
@@ -301,6 +317,27 @@ class TestReportFiles:
         path.write_text(text)
         with pytest.raises(FormatError):
             read_report(path)
+
+    @pytest.mark.parametrize("bad", ["cafe,bar", "cafe\nbar", "cafe\rbar", "cafe\u2028bar"])
+    def test_class_name_a_report_cannot_hold_refused(self, tmp_path, bad):
+        report = self.make_report()
+        report.classes = [bad, "b"]
+        with pytest.raises(DataError, match="comma or a line break"):
+            write_report(tmp_path / "report.txt", report)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_experiment_refuses_comma_in_class_name(self, tmp_path, capsys):
+        """A class named like the directory cafe,bar would split into two
+        names in the report's class list, so compare could not read the
+        report back; experiment exits 3 before any split and writes none."""
+        x, labels = blob_data(n_per_class=10)
+        names = np.where(labels == labels[0], "cafe,bar", "park")
+        features, report = tmp_path / "feat.bin", tmp_path / "r.txt"
+        write_features(features, x, names, RunConfig().extraction_hash())
+        rc = main(["experiment", "--features", str(features), "--report", str(report)])
+        assert rc == 3
+        assert "cafe,bar" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize(
         "old,new",

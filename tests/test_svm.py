@@ -302,7 +302,7 @@ class TestBinarySvm:
                 else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
             )
             k = kernel_matrix(x, x, spec)
-            alpha, bias, it, _ = svm_module._smo(k, y, c, 1e-3, 10**6)
+            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
             want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
             assert alpha.tobytes() == want_alpha.tobytes()
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
@@ -326,7 +326,7 @@ class TestBinarySvm:
                 else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
             )
             k = kernel_matrix(x, x, spec)
-            alpha, bias, it, _ = svm_module._smo(k, y, c, 1e-3, 10**6)
+            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
             want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
             assert alpha.tobytes() == want_alpha.tobytes(), (n, spec.kind)
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
@@ -500,6 +500,17 @@ def atol_of(c):
     return 1e-12 * max(c, 1.0)
 
 
+def assert_meets_stopping_rule(machine, alpha, gram, y):
+    """machine carries alpha, the whole alpha of a solve at another C,
+    to its own C: its support is alpha > atol there, and m - M
+    recomputed from the Gram with that C's masks is within tol = 1e-3
+    (plus rounding)."""
+    c = machine.c
+    np.testing.assert_array_equal(machine.support, np.flatnonzero(alpha > atol_of(c)))
+    assert machine.alpha_signed.tobytes() == (alpha * y)[machine.support].tobytes()
+    assert violation_gap(gram, y, alpha, c) <= 1e-3 + 1e-9
+
+
 # costs around 1, around the bounds' atol floor and around 0 < C - atol
 EDGE_COSTS = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e-13, 5e-13, 1e-12, 2e-12, 1e-3, 0.1, 10.0, 1e3]
 
@@ -511,9 +522,12 @@ class TestSolveReuse:
     )
     def test_reused_machine_equals_fresh_solve(self, sizes, trials):
         """Walking ascending, shuffled and duplicated grids with each
-        machine as the next one's prior gives, at every C, the bits of a
-        fresh solve (or the same TrainingError); the grids hold costs at
-        the hard-margin largest alpha x (1 +- 1e-9, 1 +- 1e-15)."""
+        machine as the next one's prior, a prior is reused exactly when
+        holds_at holds on its returned alpha; every other machine has the
+        bits of a fresh solve (or the same TrainingError), and a reused
+        one meets the stopping rule at its own C, recomputed from the
+        Gram.  The grids hold costs at the hard-margin largest alpha
+        x (1 +- 1e-9, 1 +- 1e-15)."""
         rng = np.random.default_rng(11)
         reused = 0
         for trial in range(trials):
@@ -528,25 +542,34 @@ class TestSolveReuse:
             for walk in (sorted(grid), list(rng.permutation(grid)), sorted(grid + grid[::3])):
                 prior = None
                 for c in walk:
-                    want = solve_or_none(x, y, c, spec, gram=gram)
                     got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
-                    assert_same_solve(got, want)
+                    if prior is not None and prior.solve.holds_at(prior.c, c):
+                        assert got.alpha_signed is prior.alpha_signed
+                        assert not got.alpha_signed.flags.writeable
+                        assert (got.bias, got.c) == (prior.bias, c)
+                        assert_meets_stopping_rule(got, alpha, gram, y)
+                        reused += 1
+                    else:
+                        if prior is not None and got is not None:
+                            assert got.alpha_signed is not prior.alpha_signed
+                        assert_same_solve(got, solve_or_none(x, y, c, spec, gram=gram))
+                        if got is not None:
+                            # the whole alpha of this solve, for the machines reusing it
+                            alpha = svm_module._smo(gram, y, c, 1e-3, 10**6)[0]
                     if got is not None:
-                        if prior is not None and got.alpha_signed is prior.alpha_signed:
-                            reused += 1
-                            assert not got.alpha_signed.flags.writeable
                         prior = got
         assert reused >= 2 * trials, reused
 
     def test_atol_band_blocks_reuse(self):
         """Multipliers near 1e-10 sit on either side of atol = 1e-12
-        max(C, 1) as C moves.  A prior is reused only while every value
-        it compared above atol stays above it, and never at a C whose
-        atol is smaller: a value it snapped to 0 below its own atol may
-        lie above the smaller one."""
+        max(C, 1) as C moves.  A prior is reused only while every alpha
+        above its atol stays above the new one, and never at a C whose
+        atol is smaller: an alpha at or below its own atol may lie above
+        the smaller one.  A reused machine meets the stopping rule at
+        its C; any other has a fresh solve's bits."""
         rng = np.random.default_rng(5)
         ascending = descending = 0
-        for trial in range(30):
+        for trial in range(60):
             x, y = separable(rng, int(rng.integers(3, 12)))
             spec = KernelSpec("linear")
             gram = kernel_matrix(x, x, spec) * 10.0 ** rng.uniform(8.0, 10.0)
@@ -554,19 +577,21 @@ class TestSolveReuse:
                 prior = solve_or_none(x, y, c_prior, spec, gram=gram)
                 if prior is None:
                     continue
+                alpha = svm_module._smo(gram, y, c_prior, 1e-3, 10**6)[0]
                 for c in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4):
-                    want = solve_or_none(x, y, c, spec, gram=gram)
                     got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
-                    assert_same_solve(got, want)
+                    if got is not None and got.alpha_signed is prior.alpha_signed:
+                        assert_meets_stopping_rule(got, alpha, gram, y)
+                    else:
+                        assert_same_solve(got, solve_or_none(x, y, c, spec, gram=gram))
                     # count the cases where only the atol test stands
-                    # between the prior and a wrong answer
-                    cert = prior.solve
-                    if cert.bound or not cert.amax < min(c - atol_of(c), c_prior - atol_of(c_prior)):
-                        continue
-                    if want is None or want.alpha_signed.tobytes() != prior.alpha_signed.tobytes():
-                        ascending += c > c_prior
-                        descending += c < c_prior
-        assert ascending > 10 and descending > 10
+                    # between the prior and a support that is wrong at c
+                    if prior.solve.amax < min(c - atol_of(c), c_prior - atol_of(c_prior)):
+                        support = np.flatnonzero(alpha > atol_of(c))
+                        moved = support.tobytes() != prior.support.tobytes()
+                        ascending += moved and c > c_prior
+                        descending += moved and c < c_prior
+        assert ascending > 10 and descending > 10, (ascending, descending)
 
     def test_prior_without_room_is_not_reused(self):
         """At C = 1e-13, C - atol < 0 and the solve stops at alpha = 0
@@ -582,40 +607,30 @@ class TestSolveReuse:
         assert got.alpha_signed.size > 0
 
     @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
-    def test_certificate_records_c_dependent_bounds(self, monkeypatch, small_n):
-        """Two points, K = I: the hard-margin step sets both alphas to 1.
-        A clip at C, the snap onto C and a free step are told apart."""
+    def test_solve_records_returned_alpha_extremes(self, monkeypatch, small_n):
+        """Two points, K = I: the hard-margin solution sets both alphas
+        to 1.  The record holds the returned alpha's largest value and
+        its smallest above atol, and a solve whose alpha reaches
+        C - atol (clipped at C or snapped onto it) is never carried to
+        another C."""
         monkeypatch.setattr(svm_module, "SMALL_N", small_n)
-        k, y = np.eye(2), np.array([1.0, -1.0])
+        y = np.array([1.0, -1.0])
 
-        def cert(c):
-            return svm_module._smo(k, y, c, 1e-3, 100)[3]
+        def solve(c):
+            return train_binary(None, y, c, KernelSpec("linear"), gram=np.eye(2)).solve
 
-        assert cert(2.0) == (1.0, 1.0, False)
-        assert cert(0.5)[2]                      # clipped at C
-        amax, _, bound = cert(1.0 + 1e-13)       # 1 is within atol of C: snapped
-        assert bound and amax == 1.0 + 1e-13
-        assert cert(1e-13) == (0.0, np.inf, False)
-
-    @pytest.mark.parametrize(
-        "y_i, y_j, a_i, a_j, bound",
-        [
-            (1.0, -1.0, 0.8, 0.3, True),    # clipped at C + a_j - a_i
-            (1.0, 1.0, 0.8, 0.7, True),     # clipped at a_i + a_j - C
-            (-1.0, -1.0, 0.2, 0.3, False),  # clipped at a_i + a_j
-            (-1.0, 1.0, 0.2, 0.5, False),   # clipped at a_j - a_i
-        ],
-    )
-    def test_pair_step_flags_only_c_dependent_clips(self, y_i, y_j, a_i, a_j, bound):
-        """C = 1, K = I, f_i - f_j = 2: the unclipped step moves alpha_j
-        by 1, past the end of its segment."""
-        cert = [0.0, np.inf, False]
-        d_i, d_j, new_i, new_j = svm_module._pair_step(
-            y_i, y_j, a_i, a_j, 1.0, -1.0, 1.0, 1.0, 0.0, 1.0, 1e-3, 1e-12, cert
-        )
-        assert cert[2] is bound
-        assert (new_i, new_j) == (a_i + d_i, a_j + d_j)
-        assert cert[0] == max(new_i, new_j)
+        free = solve(2.0)
+        assert (free.amax, free.amin) == (1.0, 1.0)
+        assert free.holds_at(2.0, 3.0) and free.holds_at(2.0, 1e3)
+        assert not free.holds_at(2.0, 1.5)        # a smaller atol
+        assert not free.holds_at(2.0, 1.0)        # alpha at C
+        for c in (0.5, 1.0 + 1e-13):              # clipped at C; within atol of C, snapped
+            at_box = solve(c)
+            assert (at_box.amax, at_box.amin) == (c, c)
+            assert not at_box.holds_at(c, 2.0 * c)
+        empty = solve(1e-13)                      # C - atol < 0: no step
+        assert (empty.amax, empty.amin) == (0.0, np.inf)
+        assert not empty.holds_at(1e-13, 1.0)
 
     def test_prior_from_another_problem_ignored(self):
         rng = np.random.default_rng(9)
