@@ -135,6 +135,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = parse_config_file(args.config, args.overrides)
+    check_threads(args.threads)  # checked, though the splits run in this thread
     x, labels, stored = read_features(args.features)
     expected = cfg.extraction_hash()
     if stored != expected:
@@ -144,7 +145,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "re-extract it or set the keys it was extracted with"
         )
     check_class_names(set(labels))
-    report = run_experiment(x, labels, cfg, threads=args.threads)
+    report = run_experiment(x, labels, cfg)
     write_report(args.report, report)
     if args.manifest_dir:
         ids = [f"row{idx:06d}" for idx in range(x.shape[0])]
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, required=True, help="output report file")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="worker thread cap; no more workers start than there are usable cores",
+        help="checked (N >= 1) but starts no worker: splits run in turn, as SMO holds the GIL "
+        "(2 threads took 2.57 s linear, 26.1 s gaussian, 1 thread 1.91 s and 21.7 s; README)",
     )
     p.add_argument("--manifest-dir", type=Path, default=None, help="write split manifests here")
     p.add_argument("--heatmap", type=Path, default=None, help="write confusion PGM here")

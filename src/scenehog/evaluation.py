@@ -17,7 +17,7 @@ import numpy as np
 from . import svm
 from .errors import ConfigError, DataError, FormatError, ProtocolError
 from .metrics import column_normalize, confusion_codes, map_score_codes
-from .util import atomic_write_text, class_codes, parallel_map, rng_from, split_by_class
+from .util import atomic_write_text, class_codes, rng_from, split_by_class
 
 __all__ = [
     "EvalReport",
@@ -135,13 +135,12 @@ def run_protocol(
     sigma_grid=None,
     n_resample: int = 5,
     tol: float = 1e-3,
-    threads: int = 1,
     params: dict[str, str] | None = None,
 ) -> EvalReport:
     """Run n_splits independent evaluations and aggregate them.
 
-    Split i is fully determined by (seed, i) regardless of execution
-    order, so any thread count produces the same report.
+    Split i is fully determined by (seed, i).  Splits run one after another
+    in the calling thread, since the SMO step loop holds the GIL.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray([str(v) for v in labels])
@@ -184,21 +183,18 @@ def run_protocol(
             c, np.nan if sigma is None else sigma, train_idx.size, test_idx.size,
         )
 
-    results = parallel_map(job, range(n_splits), threads)
-
-    per_split = np.asarray([r[0] for r in results])
-    confusion = np.sum([r[1] for r in results], axis=0)
+    maps, confusions, chosen_c, chosen_sigma, n_train, n_test = zip(*map(job, range(n_splits)))
     return EvalReport(
         classes=classes,
         seed=seed,
         n_splits=n_splits,
-        n_train=results[0][4],
-        n_test=results[0][5],
+        n_train=n_train[0],
+        n_test=n_test[0],
         kernel_kind=kernel_kind,
-        per_split_map=per_split,
-        confusion_sum=confusion,
-        chosen_c=np.asarray([r[2] for r in results]),
-        chosen_sigma=np.asarray([r[3] for r in results]),
+        per_split_map=np.asarray(maps),
+        confusion_sum=np.sum(confusions, axis=0),
+        chosen_c=np.asarray(chosen_c),
+        chosen_sigma=np.asarray(chosen_sigma),
         params=dict(params or {}),
     )
 
@@ -216,10 +212,10 @@ def _fmt(value: float) -> str:
 
 
 def check_class_names(names) -> None:
-    """Refuse (DataError) names that a report's comma separated lines cannot hold."""
-    bad = sorted(name for name in names if "," in name or name.splitlines() not in ([], [name]))
+    """Refuse (DataError) names that a report's comma separated, stripped lines cannot hold."""
+    bad = sorted(n for n in names if "," in n or n != n.strip() or len(n.splitlines()) > 1)
     if bad:
-        raise DataError(f"class names {bad} hold a comma or a line break")
+        raise DataError(f"class names {bad} hold a comma or a line break or outer whitespace")
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:

@@ -392,9 +392,7 @@ def generate_toy(cfg: RunConfig) -> list[AudioClip]:
     return make_toy_dataset(cfg.toy_config())
 
 
-def run_experiment(
-    x: np.ndarray, labels, cfg: RunConfig, *, threads: int = 1
-) -> EvalReport:
+def run_experiment(x: np.ndarray, labels, cfg: RunConfig) -> EvalReport:
     """Run the repeated split protocol as configured."""
     cfg.validate()
     return run_protocol(
@@ -408,6 +406,5 @@ def run_experiment(
         c_grid=cfg.c_grid_values(),
         sigma_grid=cfg.sigma_grid_values(),
         n_resample=cfg.n_resample,
-        threads=threads,
         params={"config_hash": cfg.config_hash()},
     )

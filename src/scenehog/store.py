@@ -49,13 +49,16 @@ def write_features(
     Values are quantized to float32 exactly once, here; reading the
     file back returns those float32 values unchanged.  The payload is
     converted and written in blocks of rows of about _WRITE_BLOCK_BYTES,
-    so no float32 copy of the whole matrix is made.
+    so no float32 copy of the whole matrix is made.  Labels holding a
+    line break are refused before anything is written.
     """
     path = Path(path)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = [str(v) for v in labels]
     if len(labels) != x.shape[0]:
         raise FormatError(f"{x.shape[0]} feature rows but {len(labels)} labels")
+    if broken := sorted({v for v in labels if v.splitlines() not in ([], [v])}):
+        raise FormatError(f"labels {broken} hold a line break")
     if x.shape[1] == 0:
         raise FormatError("a feature matrix needs at least one column")
     tag = config_hash.encode("ascii")[:_HASH_BYTES].ljust(_HASH_BYTES, b"\x00")

@@ -96,12 +96,12 @@ def usable_cores() -> int:
 def parallel_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items] on up to `threads` worker threads.
 
-    Results follow the input order.  The worker count is capped at the
-    number of items and at usable_cores(), since every worker holds its
-    own working set and more workers than cores gain no speed; one
-    worker runs in the calling thread.
+    Its one caller, extract_clips, checks `threads`; evaluation's SMO
+    loop holds the GIL, so its splits run inline.  Results follow the
+    input order.  Workers are capped at the number of items and at
+    usable_cores(): each holds its own working set, and more workers
+    than cores gain no speed.  One worker runs in the calling thread.
     """
-    check_threads(threads)
     items = list(items)
     workers = min(threads, len(items), usable_cores())
     if workers <= 1:

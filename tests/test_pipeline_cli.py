@@ -26,7 +26,6 @@ from scenehog import (
     read_features,
     read_report,
     read_wav,
-    run_protocol,
     scan_dataset,
     segment,
     write_pgm,
@@ -282,13 +281,9 @@ class TestExtraction:
     def test_thread_count_below_one_rejected(self):
         cfg = small_config(n_per_class=1)
         clips = generate_toy(cfg)
-        x = np.random.default_rng(0).standard_normal((8, 3))
-        labels = ["a", "b"] * 4
         for threads in (0, -1):
             with pytest.raises(ConfigError, match="threads"):
                 extract_clips(clips, cfg, threads=threads)
-            with pytest.raises(ConfigError, match="threads"):
-                run_protocol(x, labels, n_splits=2, fixed_train_count=2, threads=threads)
 
 
     @pytest.mark.parametrize("seg_seconds", [0.0, 0.3])
@@ -737,6 +732,30 @@ class TestCli:
         )
         assert rc == 2
         assert "threads" in err
+
+    def test_experiment_threads_reproduce_bytes(self, toy_workspace, capsys):
+        """--threads still parses for experiment and does not change the report."""
+        root, cfg_file = toy_workspace
+        reports = []
+        for threads in (1, 2):
+            reports.append(root / f"threads{threads}.report")
+            rc, _, _ = run_cli(
+                capsys, "experiment", "--config", cfg_file, "--threads", threads,
+                "--features", root / "toy.features", "--report", reports[-1],
+            )
+            assert rc == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_experiment_thread_count_below_one_exit_code(self, toy_workspace, capsys):
+        root, cfg_file = toy_workspace
+        report = root / "threads0.report"
+        rc, _, err = run_cli(
+            capsys, "experiment", "--config", cfg_file, "--threads", 0,
+            "--features", root / "toy.features", "--report", report,
+        )
+        assert rc == 2
+        assert "threads" in err
+        assert not report.exists()
 
     def test_thread_count_checked_before_decoding(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"

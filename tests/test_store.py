@@ -161,6 +161,25 @@ class TestFeatureFiles:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
 
+    def test_label_with_line_break_refused(self, tmp_path, capsys):
+        """The sidecar holds one label per line, so a label holding a line
+        break is refused before any byte is written; extract over a class
+        directory so named exits 3 and writes no feature file."""
+        with pytest.raises(FormatError, match="line break"):
+            write_features(tmp_path / "f.bin", np.ones((4, 3)), ["a\nb", "c", "a\nb", "c"])
+        assert list(tmp_path.iterdir()) == []
+        data = tmp_path / "data"
+        for label in ("a\nb", "c"):
+            write_wav(data / label / "x.wav", AudioClip(np.full(8000, 0.1), 8000, label))
+        out = tmp_path / "x.features"
+        rc = main([
+            "extract", "--set", "image_size=64", "--set", "filter_size=3",
+            "--data", str(data), "--out", str(out),
+        ])
+        assert rc == 3
+        assert "line break" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
     def test_row_label_mismatch_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_features(tmp_path / "f.bin", np.ones((3, 2)), ["a"])
