@@ -35,6 +35,7 @@ from scenehog import (
 from scenehog import pipeline
 from scenehog import cli
 from scenehog import store
+from scenehog import svm
 from scenehog import util
 from scenehog.cli import main
 from scenehog.errors import ConfigError, DataError, FormatError
@@ -733,9 +734,17 @@ class TestCli:
         assert rc == 2
         assert "threads" in err
 
-    def test_experiment_threads_reproduce_bytes(self, toy_workspace, capsys):
-        """--threads still parses for experiment and does not change the report."""
+    def test_experiment_threads_reproduce_bytes(self, toy_workspace, capsys, monkeypatch):
+        """--threads still parses for experiment, starts no worker and does
+        not change the report."""
         root, cfg_file = toy_workspace
+        seen, real = set(), svm.model_select
+
+        def recorded(*args, **kwargs):
+            seen.add(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "model_select", recorded)
         reports = []
         for threads in (1, 2):
             reports.append(root / f"threads{threads}.report")
@@ -745,6 +754,7 @@ class TestCli:
             )
             assert rc == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert seen == {threading.current_thread()}
 
     def test_experiment_thread_count_below_one_exit_code(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace
