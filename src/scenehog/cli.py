@@ -120,6 +120,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # a bad worker count is a config error even when the dataset is unusable
     check_threads(args.threads)
     scan = scan_dataset(args.data)
+    check_class_names(scan.classes)
     x, labels, ids, timing = extract_clips(
         scan, cfg, threads=args.threads, dump_images=args.dump_images
     )

@@ -116,22 +116,24 @@ def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central difference gradients (Gx along columns, Gy along rows).
 
     Interior pixels use (next - previous) / 2; border pixels fall back
-    to the one sided difference with unit step.  The differences are
-    written straight into the two outputs and halved in place: the same
-    IEEE operations as np.gradient, so the same bits, without its
-    image-sized temporaries.
+    to the one sided difference with unit step.  Gx's interior is one
+    subtraction over the flattened image, whose edge columns (taken
+    across row breaks) are then overwritten.  Halving multiplies by 0.5:
+    x * 0.5 and x / 2.0 round the same real number, so to the same
+    double.  These are np.gradient's IEEE operations, so its bits,
+    without its image-sized temporaries.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = np.ascontiguousarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
         raise ConfigError(f"gradient expects at least 2x2 input, got {img.shape}")
     gx = np.empty_like(img)
-    np.subtract(img[:, 2:], img[:, :-2], out=gx[:, 1:-1])
-    gx[:, 1:-1] /= 2.0
+    np.subtract(img.ravel()[2:], img.ravel()[:-2], out=gx.ravel()[1:-1])
+    gx.ravel()[1:-1] *= 0.5
     np.subtract(img[:, 1], img[:, 0], out=gx[:, 0])
     np.subtract(img[:, -1], img[:, -2], out=gx[:, -1])
     gy = np.empty_like(img)
     np.subtract(img[2:], img[:-2], out=gy[1:-1])
-    gy[1:-1] /= 2.0
+    gy[1:-1] *= 0.5
     np.subtract(img[1], img[0], out=gy[0])
     np.subtract(img[-1], img[-2], out=gy[-1])
     return gx, gy
@@ -147,9 +149,9 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
 
     The magnitude is sqrt(Gx^2 + Gy^2), within one ulp of hypot(Gx, Gy)
     while the squares neither overflow nor underflow; the central
-    differences of an image in [0, 1] are at most 1 in size.  An angle
-    just below 0 can round to 2pi once shifted; its bin index n_bins
-    wraps to 0.
+    differences of an image in [0, 1] are at most 1 in size.  Negative
+    angles gain 2pi and the rest +0.0, which bins -0.0 as 0.  An angle
+    just below 0 can round to 2pi once shifted; bin n_bins wraps to 0.
 
     The image is walked in bands of whole cell rows, about _BAND_ROWS
     pixel rows each, so the magnitude, angle and bin index arrays are
@@ -171,8 +173,7 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
     n_bins = 2 * cfg.n_orient
     rows, cols = h // cs, w // cs
     band = max(1, _BAND_ROWS // cs) * cs
-    row_offsets = (np.arange(band) // cs * (cols * n_bins))[:, None]
-    col_offsets = (np.arange(w) // cs * n_bins)[None, :]
+    offsets = (np.arange(band) // cs * (cols * n_bins))[:, None] + np.arange(w) // cs * n_bins
 
     hist = np.empty((rows, cols, n_bins))
     for top in range(0, h, band):
@@ -181,12 +182,11 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
         mag += by * by
         np.sqrt(mag, out=mag)
         theta = np.arctan2(by, bx)
-        np.add(theta, 2.0 * np.pi, out=theta, where=theta < 0)
+        theta += (theta < 0) * (2.0 * np.pi)
         theta *= n_bins / (2.0 * np.pi)
         flat = theta.astype(np.intp)
         flat[flat == n_bins] = 0
-        flat += row_offsets[:len(flat)]
-        flat += col_offsets
+        flat += offsets[:len(flat)]
         cells = len(flat) // cs
         hist[top // cs:top // cs + cells] = np.bincount(
             flat.ravel(), weights=mag.ravel(), minlength=cells * cols * n_bins

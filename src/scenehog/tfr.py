@@ -238,9 +238,8 @@ def _resize_weights(n_out: int, n_in: int) -> np.ndarray:
     taps = base[:, None] + np.arange(-1, 3)[None, :]
     w = _catmull_rom(src[:, None] - taps)
     idx = np.clip(taps, 0, n_in - 1)  # edge replication
-    mat = np.zeros((n_out, n_in))
-    np.add.at(mat, (np.repeat(np.arange(n_out), 4), idx.ravel()), w.ravel())
-    return mat
+    flat = (np.arange(n_out)[:, None] * n_in + idx).ravel()
+    return np.bincount(flat, weights=w.ravel(), minlength=n_out * n_in).reshape(n_out, n_in)
 
 
 def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

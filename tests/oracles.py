@@ -9,10 +9,11 @@ replaced: smo_oracle keeps the solver loop that recomputes every
 quantity per step, model_select_oracle retrains every candidate from
 scratch through the package's one against one trainer,
 mean_filter_sliding keeps the sliding-window filter, fast enough to
-check full size images, and mean_filter_padded and
-cell_histograms_oneshot keep the whole-image filter and histogram
-expressions that the banded library versions must reproduce bit for
-bit.
+check full size images, mean_filter_padded and cell_histograms_oneshot
+keep the whole-image filter and histogram expressions that the banded
+library versions must reproduce bit for bit, and resize_weights_scatter
+keeps the scattered resize weights that the library's bincount must
+reproduce bit for bit.
 """
 
 import itertools
@@ -151,6 +152,26 @@ def mean_filter_padded(img, k):
         np.matmul(padded[:, c:c + n + k - 1], ones[:n, :n + k - 1].T, out=out[:, c:c + n])
     out /= k
     return out
+
+
+def resize_weights_scatter(n_out, n_in):
+    """Catmull-Rom (a = -0.5) resize weights scattered with np.add.at.
+
+    Output pixel i samples src = (i + 0.5) * n_in / n_out - 0.5 with the
+    four taps floor(src) - 1 .. floor(src) + 2; a tap outside the input
+    is clamped onto the edge column, where it adds onto the weights of
+    the taps already there, left to right.
+    """
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    taps = np.floor(src).astype(np.int64)[:, None] + np.arange(-1, 3)[None, :]
+    t = np.abs(src[:, None] - taps)
+    near = (1.5 * t - 2.5) * t * t + 1.0
+    far = ((-0.5 * t + 2.5) * t - 4.0) * t + 2.0
+    w = np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
+    mat = np.zeros((n_out, n_in))
+    cols = np.clip(taps, 0, n_in - 1)
+    np.add.at(mat, (np.repeat(np.arange(n_out), 4), cols.ravel()), w.ravel())
+    return mat
 
 
 def cell_histograms_oneshot(gx, gy, cell_size, n_orient):

@@ -99,11 +99,22 @@ class TestGradient:
 
     @pytest.mark.parametrize("shape", [(512, 512), (2, 9), (9, 2), (2, 2), (3, 3), (17, 40)])
     def test_bit_identical_to_numpy_gradient(self, shape):
-        img = np.random.default_rng(sum(shape)).random(shape)
-        gx, gy = gradient(img)
-        want_gy, want_gx = np.gradient(img)
-        np.testing.assert_array_equal(gx, want_gx)
-        np.testing.assert_array_equal(gy, want_gy)
+        """Gx is taken over the flattened image, so a Fortran-ordered
+        image, a strided view and a transpose must give np.gradient's
+        bits too."""
+        rng = np.random.default_rng(sum(shape))
+        h, w = shape
+        img = rng.random(shape)
+        for layout in (
+            img,
+            np.asfortranarray(img),
+            rng.random((h, 2 * w))[:, ::2],
+            rng.random((w, h)).T,
+        ):
+            gx, gy = gradient(layout)
+            want_gy, want_gx = np.gradient(layout)
+            np.testing.assert_array_equal(gx, want_gx)
+            np.testing.assert_array_equal(gy, want_gy)
 
 
 class TestCellHistograms:

@@ -786,6 +786,30 @@ class TestCli:
         assert "threads" in err
         assert decoded == []
 
+    @pytest.mark.parametrize("name", ["neg ", "neg,x"])
+    def test_class_name_checked_before_decoding(self, tmp_path, capsys, monkeypatch, name):
+        """A class directory name that experiment's report cannot hold is
+        refused by extract (exit 3) before any clip is decoded, and no
+        feature file is written."""
+        data = tmp_path / "data"
+        rc, _, _ = run_cli(capsys, "toygen", "--set", "n_per_class=2", "--out", data)
+        assert rc == 0
+        (data / "neg").rename(data / name)
+        decoded = []
+        real = store.read_wav
+
+        def counted(*args, **kwargs):
+            decoded.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store, "read_wav", counted)
+        out = tmp_path / "x.features"
+        rc, _, err = run_cli(capsys, "extract", "--data", data, "--out", out)
+        assert rc == 3
+        assert repr(name) in err
+        assert decoded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_corrupt_wav_mid_dataset_exit_code(self, tmp_path, capsys, threads):
         data = tmp_path / "data"

@@ -5,7 +5,7 @@ import pytest
 
 from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_image
 from scenehog.errors import ConfigError
-from scenehog.tfr import _octave_kernels
+from scenehog.tfr import _octave_kernels, _resize_weights
 
 from oracles import (
     cqt_oracle,
@@ -13,6 +13,7 @@ from oracles import (
     mean_filter_oracle,
     mean_filter_padded,
     mean_filter_sliding,
+    resize_weights_scatter,
 )
 
 # small geometry that keeps the per-frame oracle affordable
@@ -198,6 +199,18 @@ class TestResize:
     def test_bad_sizes(self):
         with pytest.raises(ConfigError):
             resize_bicubic(np.zeros((4, 4)), 0, 4)
+
+    @pytest.mark.parametrize(
+        "n_out,n_in",
+        [(512, 61), (512, 72), (512, 130), (512, 512), (5, 3), (3, 5), (7, 1), (1, 7)],
+    )
+    def test_weights_bit_identical_to_scatter(self, n_out, n_in):
+        """Edge taps collapse onto one column at the borders, and on
+        every tap when n_in is 1; they must add up in the same order."""
+        got = _resize_weights(n_out, n_in)
+        want = resize_weights_scatter(n_out, n_in)
+        assert got.shape == want.shape == (n_out, n_in)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestToImage:
