@@ -116,6 +116,11 @@ class RunConfig:
             raise ConfigError(
                 f"cell_size {self.cell_size} does not divide image_size {self.image_size}"
             )
+        # a wider window only repeats edge pixels, at a cost linear in it
+        if not 1 <= self.filter_size <= self.image_size:
+            raise ConfigError(
+                f"filter_size must be in 1..image_size ({self.image_size}), got {self.filter_size}"
+            )
         cells = self.image_size // self.cell_size
         if self.pooling == "grid":
             if cells % self.grid_freq or cells % self.grid_time:
@@ -149,7 +154,13 @@ class RunConfig:
     def cqt_config(self, clip: AudioClip) -> CqtConfig:
         nyquist = clip.sample_rate_hz / 2.0
         f_max = min(self.f_max_hz, 0.95 * nyquist)
-        hop = self.hop_samples if self.hop_samples > 0 else max(1, clip.samples.size // 127)
+        n = clip.samples.size
+        hop = self.hop_samples if self.hop_samples > 0 else max(1, n // 127)
+        if hop > n:
+            raise ConfigError(
+                f"hop_samples {hop} exceeds the {n} samples of clip {clip.source_id!r}, "
+                "leaving fewer than 2 frames"
+            )
         return CqtConfig(
             f_min_hz=self.f_min_hz,
             f_max_hz=f_max,

@@ -12,10 +12,13 @@ frame.
 The transform works one octave block of bins at a time against one
 real kernel matrix holding the windowed cosines and sines of all its
 bins (the time-domain form of the constant-Q kernels of Brown and
-Puckette, 1992), read straight from the padded signal without copying
-out frames.  Kernels depend only on the frequency range, bins per
-octave and sample rate, not on the hop or clip length, and are kept in
-a small read-only cache.
+Puckette, 1992).  Frames are strided read-only views of the padded
+signal, never copies.  Each block multiplies its hop-sized slices of
+frames and kernel in one batched matrix product and adds the products
+in slice order, so it makes a few numpy calls where one product per
+hop made hundreds.  Kernels depend only on the frequency range, bins
+per octave and sample rate, not on the hop or clip length, and are
+kept in a small read-only cache.
 
 The image stages are matrix products too.  The resize applies its
 column weights first, to the narrow spectrum, and its row weights
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip
 from .errors import ConfigError, DataError
@@ -88,6 +92,10 @@ class CqtConfig:
         return int(math.ceil(self.q_factor * sample_rate_hz / self.bin_frequency(k)))
 
 
+# Bytes of one octave block's stacked hop-slice products; see cqt.
+_STACK_BYTES = 9 << 18
+
+
 def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
     """Constant-Q transform; returns complex matrix of shape (n_bins, T).
 
@@ -101,15 +109,44 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
     b = bins_per_octave bins (the last block may be partial).  Each
     block has one real kernel matrix as long as its longest window,
     giving the real and imaginary parts of all its bins at once.  No
-    frame matrix is built: the padded signal is viewed as rows of
-    hop_samples samples, so frame t is rows t, t + 1, ... laid end to
-    end, and the block's coefficients are the sum over i of the row
-    block starting at row i times the kernel's i-th hop-sized slice.
-    That is ceil(window / hop) GEMMs on views, where a frame matrix
-    would copy window / hop times the signal.  The kernels depend only
-    on the frequency range, bins per octave and sample rate, so they
-    are built once per geometry and cached (the 8 most recently used
-    geometries are kept).
+    frame is copied: the longest window's frames are a strided
+    read-only view of the zero-padded signal (sliding_window_view, one
+    row per hop), and each block reads the centred columns its window
+    covers.  The padding is half the longest window on either side,
+    whatever the hop, so a hop past the clip's end costs no memory.
+
+    A block's coefficients are the sum over i of its frames' i-th
+    hop-sized slice of columns times its kernel's i-th hop-sized slice
+    of rows, added for i = 0, 1, ... in turn: one batched matmul over
+    stacked views of the whole slices writes a stack of products, one
+    np.add.reduce over the stack's outer axis adds them in slice order,
+    and a last slice shorter than a hop is one more GEMM, added last.
+    These are the additions of one GEMM per slice, in the same order,
+    so the bits are those of that loop (tests/oracles.py keeps it); a
+    reduce along the innermost axis in memory would add pairwise and
+    change them.  A block makes a handful of numpy calls however many
+    slices it has (71 in the first block of a 1 s clip at 8 kHz); each
+    call gives up the GIL and takes it back, so few calls let two
+    extract threads overlap.
+
+    The stack holds at most _STACK_BYTES of products (two slices at
+    least).  A block with more slices runs in chunks, and from the
+    second on, slot 0 of the stack holds the running sum, so the
+    additions stay left to right.  _STACK_BYTES = 2.25 MiB keeps every
+    automatic-hop clip at 8 bins per octave in one chunk: those stack
+    at most 2.08 MiB per block (a clip as long as the 20 Hz window at
+    8 kHz: 130 slices of 131 frames), 1.13 MiB for 1 s at 8 kHz.  A
+    long clip with a fixed hop splits: 30 s at 22.05 kHz with hop 256
+    has 47 slices of 0.32 MiB, in 8 chunks.  At one thread the bound
+    hardly matters: on a 2-core x86-64 host with one OpenBLAS thread
+    (best of 40 calls), 0.25, 1, 2.25 and 8 MiB took 0.70-0.75 ms for
+    the 1 s 8 kHz clip and 1.76-1.81 ms for 2 s at 22.05 kHz.  Besides
+    its result the transform holds the padded clip, one stack and two
+    blocks of coefficients.
+
+    The kernels depend only on the frequency range, bins per octave and
+    sample rate, so they are built once per geometry and cached (the 8
+    most recently used geometries are kept).
     """
     fs = clip.sample_rate_hz
     nyquist = fs / 2.0
@@ -130,30 +167,53 @@ def cqt(clip: AudioClip, cfg: CqtConfig) -> np.ndarray:
 
     hop = cfg.hop_samples
     n_frames = n // hop + 1
-    # x is pad zeros, the clip, then pad + hop zeros.  Frame t of a block
-    # with an n_blk window starts at clip sample t * hop - n_blk // 2,
-    # which is x[off + t * hop] for off = pad - n_blk // 2.  Its
-    # q = ceil(n_blk / hop) rows of hop samples end by
-    # off + (n_frames + q - 1) * hop <= pad + n + ceil(n_blk / 2) + hop - 1,
-    # inside x for any hop.
-    pad = n_max // 2 + 1
-    x = np.pad(clip.samples, (pad, pad + hop))
+    # Row t of longest is frame t of the longest window: n_max samples
+    # from clip sample t * hop - pad.  Its last row ends at clip sample
+    # (n_frames - 1) * hop + n_max - pad - 1 <= n + n_max - pad - 1, so x
+    # is pad zeros, the clip and n_max - pad zeros, whatever the hop.
+    pad = n_max // 2
+    x = np.pad(clip.samples, (pad, n_max - pad))
+    longest = sliding_window_view(x, n_max)[::hop][:n_frames]
 
     out = np.empty((n_bins, n_frames), dtype=np.complex128)
     kernels = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, fs)
     for first, kernel in kernels:
         n_blk, nb = kernel.shape[0], kernel.shape[1] // 2
-        q = -(-n_blk // hop)
-        off = pad - n_blk // 2
-        rows = x[off:off + (n_frames + q - 1) * hop].reshape(-1, hop)
-        part = kernel[:hop]
-        coeffs = rows[:n_frames, :len(part)] @ part
-        for i in range(1, q):
-            part = kernel[i * hop:(i + 1) * hop]
-            coeffs += rows[i:i + n_frames, :len(part)] @ part
+        # every window is centred on the frame centre, sample pad of a row
+        frames = longest[:, pad - n_blk // 2:pad - n_blk // 2 + n_blk]
+        cut = n_blk // hop * hop  # samples in whole hop-sized slices
+        if cut:
+            coeffs = _slice_sums(frames[:, :cut], kernel[:cut], hop)
+            if cut < n_blk:
+                coeffs += frames[:, cut:] @ kernel[cut:]
+        else:
+            coeffs = frames @ kernel
         out[first:first + nb].real = coeffs[:, :nb].T
         out[first:first + nb].imag = coeffs[:, nb:].T
     return out
+
+
+def _slice_sums(frames: np.ndarray, kernel: np.ndarray, hop: int) -> np.ndarray:
+    """Sum over i of frames[:, i*hop:(i+1)*hop] @ kernel[i*hop:(i+1)*hop],
+    added for i = 0, 1, ... in turn, in chunks of one batched matmul and
+    one reduce each; see cqt.  frames holds whole hop-sized slices."""
+    n_frames, width = frames.shape[0], kernel.shape[1]
+    whole = kernel.shape[0] // hop
+    slices = frames.reshape(n_frames, whole, hop).swapaxes(0, 1)  # a view
+    parts = kernel.reshape(whole, hop, width)
+    slots = min(whole, max(2, _STACK_BYTES // (8 * n_frames * width)))
+    stack = np.empty((slots, n_frames, width))
+    coeffs = np.empty((n_frames, width))
+    done = 0
+    while done < whole:
+        carry = int(done > 0)
+        end = min(whole, done + slots - carry)
+        np.matmul(slices[done:end], parts[done:end], out=stack[carry:carry + end - done])
+        if carry:
+            stack[0] = coeffs  # the running sum adds first
+        np.add.reduce(stack[:carry + end - done], axis=0, out=coeffs)
+        done = end
+    return coeffs
 
 
 @functools.lru_cache(maxsize=8)

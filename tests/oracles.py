@@ -11,9 +11,11 @@ scratch through the package's one against one trainer,
 mean_filter_sliding keeps the sliding-window filter, fast enough to
 check full size images, mean_filter_padded and cell_histograms_oneshot
 keep the whole-image filter and histogram expressions that the banded
-library versions must reproduce bit for bit, and resize_weights_scatter
+library versions must reproduce bit for bit, resize_weights_scatter
 keeps the scattered resize weights that the library's bincount must
-reproduce bit for bit.
+reproduce bit for bit, and cqt_hop_loop keeps the one-GEMM-per-hop
+transform whose sums the library's stacked products must reproduce
+bit for bit.
 """
 
 import itertools
@@ -77,6 +79,41 @@ def cqt_oracle(x, fs, f_min, bins_per_octave, hop, n_bins):
             hi = min(len(x), start + n_k)
             if hi > lo:
                 out[k, t] = np.dot(x[lo:hi], kernel[lo - start:hi - start]) / n_k
+    return out
+
+
+def cqt_hop_loop(samples, hop, kernels):
+    """Constant-Q coefficients from the octave kernels, one GEMM per hop.
+
+    kernels holds (first bin, kernel) per octave block as the library
+    builds them, the first block's window the longest.  The clip is
+    padded with n_max // 2 + 1 zeros in front and n_max // 2 + 1 + hop
+    behind and viewed as rows of hop samples, so frame t of a block is
+    rows t, t + 1, ... end to end from its offset.  The block's
+    coefficients are row block 0 times the kernel's first hop-sized
+    slice, then plus row block i times slice i for i = 1, 2, ... in
+    turn, the last slice possibly shorter than a hop.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.size
+    n_max = kernels[0][1].shape[0]
+    n_bins = sum(kernel.shape[1] // 2 for _, kernel in kernels)
+    n_frames = n // hop + 1
+    pad = n_max // 2 + 1
+    x = np.pad(samples, (pad, pad + hop))
+    out = np.empty((n_bins, n_frames), dtype=np.complex128)
+    for first, kernel in kernels:
+        n_blk, nb = kernel.shape[0], kernel.shape[1] // 2
+        q = -(-n_blk // hop)
+        off = pad - n_blk // 2
+        rows = x[off:off + (n_frames + q - 1) * hop].reshape(-1, hop)
+        part = kernel[:hop]
+        coeffs = rows[:n_frames, :len(part)] @ part
+        for i in range(1, q):
+            part = kernel[i * hop:(i + 1) * hop]
+            coeffs += rows[i:i + n_frames, :len(part)] @ part
+        out[first:first + nb].real = coeffs[:, :nb].T
+        out[first:first + nb].imag = coeffs[:, nb:].T
     return out
 
 

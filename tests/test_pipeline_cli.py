@@ -145,6 +145,23 @@ class TestRunConfig:
         cfg2 = small_config(hop_samples=100)
         assert cfg2.cqt_config(clips[0]).hop_samples == 100
 
+    @pytest.mark.parametrize("filter_size", [0, -1, 65])
+    def test_filter_size_outside_the_image_rejected(self, filter_size):
+        with pytest.raises(ConfigError, match="filter_size"):
+            small_config(filter_size=filter_size).validate()
+
+    def test_filter_size_up_to_the_image_accepted(self):
+        for filter_size in (1, 64):
+            small_config(filter_size=filter_size).validate()
+
+    def test_hop_leaving_one_frame_rejected(self):
+        """hop = clip length gives 2 frames; one more sample gives 1."""
+        clip = generate_toy(small_config())[0]
+        n = clip.samples.size
+        assert small_config(hop_samples=n).cqt_config(clip).hop_samples == n
+        with pytest.raises(ConfigError, match="hop_samples"):
+            small_config(hop_samples=n + 1).cqt_config(clip)
+
     def test_config_hash_tracks_content(self):
         a = small_config()
         b = small_config()
@@ -785,6 +802,47 @@ class TestCli:
         assert rc == 2
         assert "threads" in err
         assert decoded == []
+
+    @pytest.mark.parametrize("filter_size", [0, 65])
+    def test_filter_size_checked_before_decoding(
+        self, toy_workspace, tmp_path, capsys, monkeypatch, filter_size
+    ):
+        """A window outside 1..image_size (64 here) exits 2 before any
+        clip is decoded."""
+        root, cfg_file = toy_workspace
+        decoded = []
+        real = store.read_wav
+
+        def counted(*args, **kwargs):
+            decoded.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store, "read_wav", counted)
+        out = tmp_path / "x.features"
+        rc, _, err = run_cli(
+            capsys, "extract", "--config", cfg_file, "--set", f"filter_size={filter_size}",
+            "--data", root / "data", "--out", out,
+        )
+        assert rc == 2
+        assert "filter_size" in err
+        assert decoded == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_hop_leaving_one_frame_exit_code(self, tmp_path, capsys, threads):
+        """A hop past the 8000-sample clips is a config error that names
+        hop_samples, not an image error."""
+        data = tmp_path / "data"
+        rc, _, _ = run_cli(capsys, "toygen", "--set", "n_per_class=2", "--out", data)
+        assert rc == 0
+        out = tmp_path / "x.features"
+        rc, _, err = run_cli(
+            capsys, "extract", "--set", "image_size=64", "--set", "hop_samples=100000",
+            "--threads", threads, "--data", data, "--out", out,
+        )
+        assert rc == 2
+        assert "hop_samples 100000" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["neg ", "neg,x"])
     def test_class_name_checked_before_decoding(self, tmp_path, capsys, monkeypatch, name):

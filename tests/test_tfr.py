@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scenehog import AudioClip, CqtConfig, cqt, mean_filter, resize_bicubic, to_image
 from scenehog.errors import ConfigError
-from scenehog.tfr import _octave_kernels, _resize_weights
+from scenehog.tfr import _STACK_BYTES, _octave_kernels, _resize_weights
 
 from oracles import (
+    cqt_hop_loop,
     cqt_oracle,
     cqt_profile_oracle,
     mean_filter_oracle,
@@ -40,6 +42,17 @@ HOP_CASES = [
     (FS, 2000, {**ORACLE_CFG, "hop_samples": hop})
     for hop in (1, _WINDOW(8, FS), _WINDOW(0, FS) + 1, 1999, 5000)
 ]
+
+# the chain's own geometries at the automatic hop (samples // 127): a
+# README toy clip, 1 s at 8 kHz, and a 2 s clip at 22.05 kHz as in the
+# LITIS Rouen stand-in; then 30 s at 22.05 kHz with a fixed hop of 256,
+# whose stacked products need several chunks
+CHAIN_CASES = [
+    (8000, 8000, dict(f_min_hz=20.0, f_max_hz=3800.0, bins_per_octave=8, hop_samples=62)),
+    (22050, 44100, dict(f_min_hz=20.0, f_max_hz=10000.0, bins_per_octave=8, hop_samples=347)),
+    (22050, 661500, dict(f_min_hz=20.0, f_max_hz=10000.0, bins_per_octave=8, hop_samples=256)),
+]
+CHAIN_IDS = ["toy", "scenes19", "30s-hop256"]
 
 
 def tone_clip(freq, n=2000, fs=FS):
@@ -149,6 +162,67 @@ class TestCqtAgainstOracle:
         np.testing.assert_allclose(
             cqt(doubled, cfg), 2.0 * cqt(clip, cfg), rtol=1e-12, atol=1e-300
         )
+
+
+def _cqt_peak(transform, *args):
+    tracemalloc.start()
+    try:
+        transform(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCqtStackedSums:
+    """cqt adds each octave block's hop-slice products from stacked
+    batches; the per-hop loop it replaced is the reference for its bits
+    and its memory."""
+
+    @pytest.mark.parametrize(
+        "fs,n,geometry", ORACLE_CASES + HOP_CASES + CHAIN_CASES,
+        ids=[f"{fs}Hz-b{g['bins_per_octave']}" for fs, _, g in ORACLE_CASES]
+        + [f"hop{g['hop_samples']}" for _, _, g in HOP_CASES] + CHAIN_IDS,
+    )
+    def test_bit_identical_to_hop_loop(self, fs, n, geometry):
+        cfg = CqtConfig(**geometry)
+        x = np.random.default_rng(n).standard_normal(n)
+        kernels = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, fs)
+        got = cqt(AudioClip(x, fs), cfg)
+        want = cqt_hop_loop(x, cfg.hop_samples, kernels)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_long_clip_needs_several_chunks(self):
+        """The 30 s case above has more whole slices in its first block
+        than one stack of _STACK_BYTES holds."""
+        fs, n, geometry = CHAIN_CASES[-1]
+        cfg = CqtConfig(**geometry)
+        n_frames = n // cfg.hop_samples + 1
+        slices = cfg.window_length(0, fs) // cfg.hop_samples
+        per_slice = 8 * n_frames * 2 * cfg.bins_per_octave
+        assert slices > 2 * (_STACK_BYTES // per_slice)
+
+    @pytest.mark.parametrize("fs,n,geometry", CHAIN_CASES, ids=CHAIN_IDS)
+    def test_peak_memory_within_the_stack_bound(self, fs, n, geometry):
+        """At most _STACK_BYTES above the per-hop loop's peak (0.25, 0.61
+        and 8.6 MiB for these clips)."""
+        cfg = CqtConfig(**geometry)
+        clip = AudioClip(np.random.default_rng(1).standard_normal(n), fs)
+        kernels = _octave_kernels(cfg.f_min_hz, cfg.f_max_hz, cfg.bins_per_octave, fs)
+        cqt(clip, cfg)  # kernels are cached before the peaks are taken
+        reference = _cqt_peak(cqt_hop_loop, clip.samples, cfg.hop_samples, kernels)
+        assert _cqt_peak(cqt, clip, cfg) <= reference + _STACK_BYTES
+
+    def test_hop_past_the_clip_costs_no_memory(self):
+        """A hop beyond the clip gives one frame and pads nothing for it:
+        the per-hop loop padded a hop of zeros, 76 MiB at hop 1e7."""
+        clip = tone_clip(440.0, n=8000, fs=8000)
+        peaks = []
+        for hop in (8000, 10**5, 10**7):
+            cfg = CqtConfig(f_min_hz=20.0, f_max_hz=3800.0, bins_per_octave=8, hop_samples=hop)
+            cqt(clip, cfg)
+            peaks.append(_cqt_peak(cqt, clip, cfg))
+        assert max(peaks[1:]) <= peaks[0]
 
 
 class TestCqtKernelCache:
