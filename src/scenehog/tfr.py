@@ -15,8 +15,8 @@ bins (the time-domain form of the constant-Q kernels of Brown and
 Puckette, 1992).  Frames are strided read-only views of the padded
 signal, never copies.  Each block multiplies its hop-sized slices of
 frames and kernel in one batched matrix product and adds the products
-in slice order, so it makes a few numpy calls where one product per
-hop made hundreds.  Kernels depend only on the frequency range, bins
+in slice order, so it makes a few numpy calls however many slices its
+window spans.  Kernels depend only on the frequency range, bins
 per octave and sample rate, not on the hop or clip length, and are
 kept in a small read-only cache.
 
