@@ -234,19 +234,18 @@ def segment(clip: AudioClip, seg_seconds: float) -> list[AudioClip]:
     Returns floor(duration / seg_seconds) segments; the trailing
     remainder is dropped.  Segment source ids append a zero padded
     index to the parent id so concatenating the segments in id order
-    reproduces a prefix of the input.
+    reproduces a prefix of the input.  A segment's samples are a
+    read-only view of the clip's, so cutting a clip copies none of it;
+    writing to the clip's samples afterwards changes its segments.
     """
     seg_len = segment_length(seg_seconds, clip.sample_rate_hz)
-    n_seg = clip.samples.size // seg_len
     out = []
-    for i in range(n_seg):
+    for i in range(clip.samples.size // seg_len):
+        view = clip.samples[i * seg_len:(i + 1) * seg_len]
+        view.flags.writeable = False
         out.append(
-            AudioClip(
-                clip.samples[i * seg_len:(i + 1) * seg_len].copy(),
-                clip.sample_rate_hz,
-                label=clip.label,
-                source_id=f"{clip.source_id}#{i:03d}",
-            )
+            AudioClip(view, clip.sample_rate_hz, label=clip.label,
+                      source_id=f"{clip.source_id}#{i:03d}")
         )
     return out
 

@@ -384,8 +384,18 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     by k.  The BLAS kernel picks the order of the additions: on
     512-pixel images it adds in window order and the result equals two
     sliding-window row passes bit for bit; at other sides the edge tiles
-    go to other kernels and can differ in the last bit.  Apart from the
-    input the filter holds two images, the row pass and the result.
+    go to other kernels and can differ in the last bit.
+
+    Apart from the input the filter holds one image, the row pass, which
+    the column pass overwrites with the result.  A block's column sums
+    are written to a ring of (h, _BAND) buffers and copied back once no
+    later block's window reads the columns they replace, a delay of
+    slots = 1 + ceil(floor(k/2) / _BAND) blocks: two at k = 15, so the
+    ring holds 256 KiB beside a 2 MiB 512 x 512 image.  The ring has at
+    most one slot per block, so however large k is it holds at most one
+    image.  A gathered edge window is freed before the next one is made.
+    The GEMM operands are those of a pass into a separate result, so
+    the bits are too.
 
     _BAND = 32 is measured, on one 512 x 512 image at k = 15 with one
     OpenBLAS thread on a 2-core x86-64 host (medians of 7 runs): bands
@@ -408,17 +418,35 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     span = np.arange(_BAND + k - 1)[None, :] - np.arange(_BAND)[:, None]
     ones = ((span >= 0) & (span < k)).astype(np.float64)
 
-    rows = np.empty((h, w))
+    out = np.empty((h, w))
     for r in range(0, h, _BAND):
         n = min(_BAND, h - r)
         window = _edge_window(img, r - lo, n + k - 1, axis=0)
-        np.matmul(ones[:n, :n + k - 1], window, out=rows[r:r + n])
-    rows /= k
+        np.matmul(ones[:n, :n + k - 1], window, out=out[r:r + n])
+        del window
+    out /= k
 
-    out = np.empty((h, w))
-    for c in range(0, w, _BAND):
+    # Block j's sums wait in ring slot j % slots until block j + slots
+    # starts: that block's windows, and all later ones, begin at or
+    # right of column (j + slots) * _BAND - lo, past block j's columns,
+    # since (slots - 1) * _BAND >= lo.
+    n_blocks = -(-w // _BAND)
+    slots = min(n_blocks, 1 + -(-lo // _BAND))
+    ring = np.empty(h * min(slots * _BAND, w))
+
+    def held(j: int) -> np.ndarray:
+        start = j % slots * h * _BAND
+        return ring[start:start + h * min(_BAND, w - j * _BAND)].reshape(h, -1)
+
+    for j in range(n_blocks):
+        if j >= slots:
+            out[:, (j - slots) * _BAND:(j - slots + 1) * _BAND] = held(j - slots)
+        c = j * _BAND
         n = min(_BAND, w - c)
-        window = _edge_window(rows, c - lo, n + k - 1, axis=1)
-        np.matmul(window, ones[:n, :n + k - 1].T, out=out[:, c:c + n])
+        window = _edge_window(out, c - lo, n + k - 1, axis=1)
+        np.matmul(window, ones[:n, :n + k - 1].T, out=held(j))
+        del window
+    for j in range(max(0, n_blocks - slots), n_blocks):
+        out[:, j * _BAND:(j + 1) * _BAND] = held(j)
     out /= k
     return out

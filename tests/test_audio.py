@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,27 @@ class TestSegment:
         clip = AudioClip(np.zeros(600), 10)
         with pytest.raises(ConfigError):
             segment(clip, 0.0)
+
+    def test_segments_are_read_only_views(self):
+        """Cutting a clip copies none of its samples: each segment shares
+        the clip's memory and refuses writes, and segment() allocates
+        far less than the clip's bytes."""
+        clip = AudioClip(np.random.default_rng(1).normal(size=80_000), 8000)
+        segment(clip, 0.5)
+        tracemalloc.start()
+        try:
+            parts = segment(clip, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parts) == 20
+        for part in parts:
+            assert np.shares_memory(part.samples, clip.samples)
+            assert not part.samples.flags.writeable
+            with pytest.raises(ValueError):
+                part.samples[0] = 0.0
+        assert clip.samples.flags.writeable
+        assert peak < clip.samples.nbytes // 8
 
 
 class TestToyDataset:

@@ -290,6 +290,23 @@ class TestNormalizeCells:
 
 
 class TestHogProperties:
+    @pytest.mark.parametrize(
+        "shape, cell_size",
+        [((300, 40), 1), ((129, 7), 1), ((512, 512), 8), ((320, 96), 32),
+         ((512, 512), 32), ((512, 512), 64), ((384, 256), 128), ((384, 192), 192)],
+    )
+    def test_bands_bit_identical_to_whole_image(self, shape, cell_size):
+        """hog's row bands, each with its clamped halo, give the bits of
+        the whole image's gradients, histograms and normalisation: heights
+        that are no multiple of the 128-row band (one ending in a single
+        row), and cells as tall as the band or taller."""
+        img = np.random.default_rng(cell_size).random(shape)
+        cfg = HogConfig(cell_size=cell_size)
+        got = hog(img, cfg)
+        want = normalize_cells(cell_histograms(*gradient(img), cfg), cfg)
+        for name in ("h_signed", "h_unsigned", "factors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_shapes_and_composition(self):
         cfg = HogConfig(cell_size=8, n_orient=8)
         rng = np.random.default_rng(42)

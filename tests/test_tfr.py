@@ -453,6 +453,25 @@ class TestMeanFilter:
         for k in (1, 2, 3, 4, 15, 16, max(shape) + 3):
             np.testing.assert_array_equal(mean_filter(img, k), mean_filter_padded(img, k))
 
+    @pytest.mark.parametrize("side, k, ring_cols", [(512, 15, 64), (256, 2560, 256)])
+    def test_peak_memory_one_image_and_the_ring(self, side, k, ring_cols):
+        """Beside its input the filter holds one image (the row pass, which
+        becomes the result), a ring of ring_cols columns of column sums
+        (two 32-column blocks at k = 15, and at most one image however
+        large k is), one gathered edge window of 32 + k - 1 lines at a
+        time, and the 0/1 band matrix with its index grid."""
+        img = np.random.default_rng(side).random((side, side))
+        lines = 32 + k - 1
+        bound = 8 * (side * side + side * ring_cols + side * lines + 2 * 32 * lines)
+        mean_filter(img, k)
+        tracemalloc.start()
+        try:
+            mean_filter(img, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + (64 << 10)
+
     def test_output_is_a_fresh_c_contiguous_array(self):
         img = np.asfortranarray(np.random.default_rng(42).random((40, 50)))
         for k in (1, 3, 15):
