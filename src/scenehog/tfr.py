@@ -391,11 +391,11 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     are written to a ring of (h, _BAND) buffers and copied back once no
     later block's window reads the columns they replace, a delay of
     slots = 1 + ceil(floor(k/2) / _BAND) blocks: two at k = 15, so the
-    ring holds 256 KiB beside a 2 MiB 512 x 512 image.  The ring has at
-    most one slot per block, so however large k is it holds at most one
-    image.  A gathered edge window is freed before the next one is made.
-    The GEMM operands are those of a pass into a separate result, so
-    the bits are too.
+    ring holds 256 KiB beside a 2 MiB 512 x 512 image.  The ring is cut
+    to w columns, so however large k is it holds at most one image.  A
+    gathered edge window is freed before the next one is made.  The GEMM
+    operands are those of a pass into a separate result, so the bits
+    are too.
 
     _BAND = 32 is measured, on one 512 x 512 image at k = 15 with one
     OpenBLAS thread on a 2-core x86-64 host (medians of 7 runs): bands
@@ -431,7 +431,7 @@ def mean_filter(img: np.ndarray, k: int) -> np.ndarray:
     # right of column (j + slots) * _BAND - lo, past block j's columns,
     # since (slots - 1) * _BAND >= lo.
     n_blocks = -(-w // _BAND)
-    slots = min(n_blocks, 1 + -(-lo // _BAND))
+    slots = 1 + -(-lo // _BAND)
     ring = np.empty(h * min(slots * _BAND, w))
 
     def held(j: int) -> np.ndarray:
