@@ -31,9 +31,10 @@ __all__ = [
 _NEIGHBOURHOODS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 # Pixel rows per band of cell_histograms and of hog, rounded down to
-# whole cell rows (one cell row when a cell is taller); measured in
-# hog's docstring.
-_BAND_ROWS = 128
+# whole cell rows (one cell row when a cell is taller); see their
+# docstrings.
+_BAND_ROWS = 64
+_HOG_BAND_ROWS = 128
 
 
 @dataclass
@@ -182,7 +183,7 @@ def cell_histograms(gx: np.ndarray, gy: np.ndarray, cfg: HogConfig) -> np.ndarra
 
     The image is walked in bands of whole cell rows, about _BAND_ROWS
     pixel rows each, so the magnitude, angle and bin index arrays are
-    band-sized rather than image-sized (512 KB against 2 MB each at
+    band-sized rather than image-sized (256 KB against 2 MB each at
     512 x 512).  Every cell lies in one band, and a band's bincount adds
     its pixels in the same raster order as one bincount over the whole
     image would, so the histograms are the same bits.  Each pixel's
@@ -274,35 +275,37 @@ def normalize_cells(raw: np.ndarray, cfg: HogConfig) -> HogGrid:
 def hog(img: np.ndarray, cfg: HogConfig) -> HogGrid:
     """Full descriptor for one image: gradients, cell votes, normalisation.
 
-    The image is walked in bands of whole cell rows, about _BAND_ROWS
-    pixel rows each.  A band's gradients come from the band plus one
-    halo row on either side, clamped to the image, and its cells are
-    counted from its own rows of them, so the gradient fields
+    The image is walked in bands of whole cell rows, about
+    _HOG_BAND_ROWS pixel rows each.  A band's gradients come from the
+    band plus one halo row on either side, clamped to the image, and its
+    cells are counted from its own rows of them, so the gradient fields
     are band-sized (1 MiB for a 128-row band of a 512-wide image,
     against 4 MiB for the whole image).  Central differences read only
     the neighbouring rows, and a band at an edge of the image has no
     halo there, so its edge rows keep their one-sided differences: the
     gradients are those of the whole image, and so are the histograms.
 
-    _BAND_ROWS = 128 is measured on a 2-core x86-64 host with one
-    OpenBLAS thread, two threads each describing toy images (medians of
-    30 alternating rounds).  Against whole-image gradients, 64-row
-    gradient bands took 2-4% longer at cells 8 and 32, 128 rows -3% to
-    +3% and 256 rows 0 to +1%: each band is one more call of gradient
-    and of cell_histograms, and two threads queue for the GIL between
-    calls.  With 128-row gradient bands, counting cells 128 rather than
-    64 rows at a time halves cell_histograms' passes and made hog at
-    cells 8, 16 and 32 6% faster than whole-image gradients with 64-row
-    counting (faster in 25 of 30 rounds; 64-row counting: 13 of 30).
-    tracemalloc puts one default clip's peak at 4.7 / 5.3 MiB (cell 32
-    / cell 8) with 128-row bands, 4.5 / 4.7 MiB counting 64 rows at a
-    time, and 6.1 / 6.5 MiB with 256-row gradient bands.
+    _HOG_BAND_ROWS = 128 is measured on a 2-core x86-64 host with one
+    OpenBLAS thread, two threads each filtering and describing a toy
+    image (medians of 30 alternating rounds, twice, against whole-image
+    gradients): 64-row bands took 2-4% longer at cells 8 and 32, 128
+    rows -3% to +3%, 256 rows 0 to +1%.  Each band is one more call of
+    gradient and of cell_histograms, and two threads queue for the GIL
+    between calls; at one thread the bands were as fast as the whole
+    image or faster.  tracemalloc put one default clip's peak at 4.5 /
+    4.5 MiB (cell 32 / cell 8) with 64-row bands, 4.5 / 4.7 MiB with
+    128 and 6.1 / 6.5 MiB with 256.  Counting cells 128 rather than
+    _BAND_ROWS = 64 rows at a time made hog at cells 8, 16 and 32 about
+    5% faster at two threads (medians of 30 rounds), but one clip
+    then held 4.7 / 5.3 MiB and the benchmark's peak RSS was 1.5 MB
+    higher on sweep-gauss and 2.0 MB on scenes19 (medians of 10 runs),
+    so cells are still counted 64 rows at a time.
     """
     img = _image(img)
     h, w = img.shape
     cs = cfg.cell_size
     _check_cells(img.shape, cs)
-    band = _band(_BAND_ROWS, cs)
+    band = _band(_HOG_BAND_ROWS, cs)
     raw = np.empty((h // cs, w // cs, 2 * cfg.n_orient))
     for top in range(0, h, band):
         first = max(top - 1, 0)
