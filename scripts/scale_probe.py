@@ -10,7 +10,10 @@ split, since one run's time spreads too widely to show a change of the
 solver.  One more run of the split counts the solver's work by wrapping
 ``svm.train_binary``: ``solves`` machines solved afresh, ``reused``
 machines that returned their prior's solution (``alpha_signed`` is the
-prior's) and ``smo_steps``, the SMO steps of the fresh solves.
+prior's), ``smo_steps``, the SMO steps of the fresh solves, and
+``smo_s``, the seconds spent inside the ``svm.train_binary`` calls that
+solved afresh.  ``smo_s`` reads the solver's speed without the rest of
+the split, whose time spreads more from run to run.
 Features go through float32 first, as they do on
 their way through a feature file to ``scenehog experiment``.  It then
 writes the set out as WAV files and runs ``scenehog extract`` on them in
@@ -21,7 +24,7 @@ the feature file that child wrote in another, one split at
 prints one tab separated line per size:
 
     clips_per_class  rows  extract_s  split_s  map  c  extract_rss_mb  experiment_rss_mb
-    solves  reused  smo_steps
+    solves  reused  smo_steps  smo_s
 
 The benchmark workloads use 8 clips per class.  The source paper's set
 has about 160, and from about 40 on evaluation costs more than
@@ -80,20 +83,23 @@ def cli_rss_mb(*args: str) -> float:
     return float(proc.stdout.splitlines()[-1])
 
 
-def solver_work(x: np.ndarray, labels) -> tuple[int, int, int]:
-    """(solves, reused, smo_steps) of one split, counted by wrapping
-    svm.train_binary while it runs."""
-    work = [0, 0, 0]
+def solver_work(x: np.ndarray, labels) -> tuple[int, int, int, float]:
+    """(solves, reused, smo_steps, smo_s) of one split, counted and
+    timed by wrapping svm.train_binary while it runs."""
+    work = [0, 0, 0, 0.0]
     real = svm.train_binary
 
     def counted(*args, **kwargs):
+        start = time.perf_counter()
         machine = real(*args, **kwargs)
+        took = time.perf_counter() - start
         prior = kwargs.get("prior")
         if prior is not None and machine.alpha_signed is prior.alpha_signed:
             work[1] += 1
         else:
             work[0] += 1
             work[2] += machine.solve.iterations
+            work[3] += took
         return machine
 
     svm.train_binary = counted
@@ -101,12 +107,12 @@ def solver_work(x: np.ndarray, labels) -> tuple[int, int, int]:
         run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
     finally:
         svm.train_binary = real
-    return work[0], work[1], work[2]
+    return tuple(work)
 
 
 def probe(n_per_class: int, work: Path) -> tuple:
     """(rows, extraction s, median split s, MAP, chosen C, extract and
-    experiment peak RSS MB, solves, reused, smo_steps)."""
+    experiment peak RSS MB, solves, reused, smo_steps, smo_s)."""
     clips = make_scenes19(SEED, n_per_class)
     start = time.perf_counter()
     x, labels, _, _ = extract_clips(clips, RunConfig())
@@ -145,16 +151,17 @@ def main(argv: list[str]) -> int:
         return 2
     print(
         "clips_per_class\trows\textract_s\tsplit_s\tmap\tc\textract_rss_mb\texperiment_rss_mb"
-        "\tsolves\treused\tsmo_steps"
+        "\tsolves\treused\tsmo_steps\tsmo_s"
     )
     for n in sizes:
         with tempfile.TemporaryDirectory(prefix="scale_probe.") as work:
-            rows, extract_s, split_s, score, c, extract_mb, experiment_mb, *solver = probe(
+            rows, extract_s, split_s, score, c, extract_mb, experiment_mb, *solver, smo_s = probe(
                 n, Path(work)
             )
         print(
             f"{n}\t{rows}\t{extract_s:.2f}\t{split_s:.2f}\t{score:.6f}\t{c:.6g}"
-            f"\t{extract_mb:.1f}\t{experiment_mb:.1f}\t" + "\t".join(map(str, solver)),
+            f"\t{extract_mb:.1f}\t{experiment_mb:.1f}\t" + "\t".join(map(str, solver))
+            + f"\t{smo_s:.3f}",
             flush=True,
         )
     return 0

@@ -140,7 +140,9 @@ def run_protocol(
     """Run n_splits independent evaluations and aggregate them.
 
     Split i is fully determined by (seed, i).  Splits run one after another
-    in the calling thread, since the SMO step loop holds the GIL.
+    in the calling thread, since the SMO step loop holds the GIL.  tol,
+    every machine's KKT tolerance, must be positive and finite; any other
+    is refused with ConfigError before the first split is drawn.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray([str(v) for v in labels])
@@ -152,6 +154,8 @@ def run_protocol(
         raise DataError("features have no columns")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     classes, codes = class_codes(labels)
     if len(classes) < 2:
         raise ProtocolError("evaluation needs at least two classes")

@@ -7,18 +7,18 @@ violation vector up to date from the two kernel rows of each step
 instead of recomputing it.  Small problems (at most SMALL_N rows, such
 as the few-example class pairs of model selection) run the step loop on
 Python lists, where a step costs less than the NumPy call overhead of
-the array loop used for larger ones; both loops share the pair update
-and evaluate the same floating point operations, so a model does not
-depend on which loop trained it.  A solve that stops short of its KKT
-tolerance raises TrainingError.  Multiclass problems are handled one
-against one with majority voting; each pair's Gram is sliced from one
-kernel matrix per training set.  Model selection computes the
-sigma-free base of the learning half's matrix and of its block against
-the validation half once per half, maps both per sigma (kernel_matrix's
-own map, so the same bits), reuses them across the whole C grid and
-scores the grid with one vote per half and sigma.
-A model stores the training rows its machines use once, and predict
-scores every machine from one kernel block against them.
+the array loop used for larger ones, which allocates nothing per step;
+both loops share the pair update and evaluate the same floating point
+operations, so a model does not depend on which loop trained it.  A
+solve that stops short of its KKT tolerance raises TrainingError.
+Multiclass problems are handled one against one with majority voting;
+each pair's Gram is sliced from one kernel matrix per training set.
+Model selection computes the sigma-free base of the learning half's
+matrix and of its block against the validation half once per half,
+maps both per sigma (kernel_matrix's own map, so the same bits), reuses
+them across the whole C grid and scores the grid with one vote per half
+and sigma.  A model stores the training rows its machines use once,
+and predict scores every machine from one kernel block against them.
 
 train_binary(prior=) returns a prior machine's solution at a new C
 without solving when the alpha that solve returned already meets the
@@ -209,15 +209,18 @@ class BinarySvm:
 def _decision(machine: BinarySvm, k: np.ndarray) -> np.ndarray:
     """The machine's decision values at the points of the columns of k,
     a kernel block whose rows machine.support indexes."""
-    return machine.alpha_signed @ k[machine.support] + machine.bias
+    return machine.alpha_signed @ k.take(machine.support, axis=0) + machine.bias
 
 
 # Problems with at most SMALL_N rows run the step loop on Python lists,
 # larger ones on NumPy arrays.  Measured cost per step of whole solves
-# (µs, 2-core x86, Python 3.11, numpy 2.4, one BLAS thread), list vs
-# NumPy: 5.3 vs 13.5 at n = 4, 14.1 vs 16.8 at n = 48, 16.8 vs 16.7 at
-# n = 64, 25.2 vs 15.2 at n = 128.  CHANGES.md has the whole table.
-SMALL_N = 48
+# (µs, best of 3 runs of 4 problems x 10 C values per size; 2-core x86,
+# Python 3.11, numpy 2.4, one BLAS thread):
+#   n      4    8   16   24   28   32   36   40   48   64
+#   list  2.8  3.3  3.7  4.5  5.0  5.1  5.8  6.3  6.7  8.3
+#   array 7.1  7.2  5.8  6.0  6.1  5.5  5.4  5.4  5.3  5.5
+# so the two loops cross between 32 and 36 rows.
+SMALL_N = 34
 
 
 def _atol(c: float) -> float:
@@ -230,8 +233,8 @@ class _Solve(NamedTuple):
 
     gram is a weak reference to the kernel matrix, so a machine does not
     keep it alive; labels holds the bytes of y and max_iter the value
-    train_binary was given.  amax is the largest alpha, amin the
-    smallest above atol (inf if none).
+    train_binary was given.  atol is _atol of the solve's C, amax the
+    largest alpha and amin the smallest above atol (inf if none).
     """
 
     gram: weakref.ref
@@ -239,6 +242,7 @@ class _Solve(NamedTuple):
     tol: float
     max_iter: int
     iterations: int
+    atol: float
     amax: float
     amin: float
 
@@ -253,7 +257,7 @@ class _Solve(NamedTuple):
         step.  An alpha at or below a larger atol may lie above a
         smaller one, so a solve is not carried to a smaller atol.
         """
-        atol_prior, atol = _atol(c_prior), _atol(c)
+        atol_prior, atol = self.atol, _atol(c)
         return (
             self.amax < c_prior - atol_prior
             and self.amax < c - atol
@@ -278,16 +282,24 @@ def _pair_step(
     only steps while m - M = f_i - f_j > tol, so a pinned pair leaves
     the solve short of tolerance.
     """
+    # max(0.0, lo), min(c, hi), max(eta, 1e-12) and min(max(new_j, lo),
+    # hi) written as the comparisons by which the builtins pick an
+    # operand (max(a, b) is b if b > a else a), since a builtin call costs
+    # more than the rest of the step's arithmetic
     sign = y_i * y_j
     if sign < 0:
-        lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
+        lo, hi = a_j - a_i, c + a_j - a_i
     else:
-        lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-    eta = max(k_ii + k_jj - 2.0 * k_ij, 1e-12)
+        lo, hi = a_i + a_j - c, a_i + a_j
+    lo = lo if lo > 0.0 else 0.0
+    hi = hi if hi < c else c
+    eta = k_ii + k_jj - 2.0 * k_ij
+    eta = 1e-12 if 1e-12 > eta else eta
     # -f is the bias-free prediction error, so this is the classic
     # Platt step for the second variable.
     new_j = a_j + y_j * (f_j - f_i) / eta
-    new_j = min(max(new_j, lo), hi)
+    new_j = lo if lo > new_j else new_j
+    new_j = hi if hi < new_j else new_j
     if new_j < atol:
         new_j = 0.0
     elif new_j > c - atol:
@@ -338,12 +350,18 @@ def _smo(
     of i and j are rewritten.  A solve that runs out of iterations or
     whose working pair cannot move raises TrainingError with the gap.
 
-    Two loops share _pair_step and the bias tail.  Up to SMALL_N rows,
-    f, alpha, the masks and the kernel rows are Python lists, the
-    arg-extremes are forward scans with strict comparisons (lowest index
-    on ties) and f is updated as f[t] - (a K[i, t] + b K[j, t]); above
-    it they are NumPy arrays.  Both evaluate the same IEEE operations in
-    the same order, so they return the same bits.
+    Two loops share _pair_step and the bias tail, and keep alpha, the
+    masks and the diagonal of K as Python lists.  Up to SMALL_N rows, f
+    and the kernel rows are lists too, the arg-extremes are forward
+    scans with strict comparisons (lowest index on ties) and f is
+    updated as f[t] - (a K[i, t] + b K[j, t]).  Above it f is an array
+    and a step allocates nothing: one add of two penalty rows (0 where
+    an index may move up or down, -inf or +inf where it may not) into a
+    reused (2, n) buffer gives argmax / argmin their masked rows (lowest
+    index on ties), only the penalties of i and j are rewritten, and f
+    is updated through two reused vectors as step = a K[i]; step += b K[j];
+    f -= step.  Both loops evaluate the same IEEE operations in the same
+    order, so they return the same bits.
     """
     n = y.size
     atol = _atol(c)
@@ -387,29 +405,45 @@ def _smo(
                 up[t] = a_t < top if pos[t] else a_t > atol
                 low[t] = a_t > atol if pos[t] else a_t < top
     else:
-        alpha, f, up, low = (np.array(v) for v in (alpha, f, up, low))
+        diag = k.diagonal().tolist()
+        f = np.array(f)
+        # pens[0] is 0 where an index may move up and -inf elsewhere,
+        # pens[1] 0 where it may move down and +inf elsewhere, so the
+        # masked arg-extremes are those of the rows of f + pens
+        pens = np.array([[0.0 if u else -np.inf for u in up], [0.0 if l else np.inf for l in low]])
+        pen_up, pen_low = pens
+        masked = np.empty((2, n))
+        f_up, f_low = masked
+        step, row = np.empty(n), np.empty(n)
         while True:
-            i = int(np.where(up, f, -np.inf).argmax())
-            j = int(np.where(low, f, np.inf).argmin())
+            np.add(f, pens, out=masked)
+            i = int(f_up.argmax())
+            j = int(f_low.argmin())
             # a masked arg-extreme falls outside its mask only when the mask is empty
             if not (up[i] and low[j]):
                 break
-            f_i, f_j = float(f[i]), float(f[j])
+            f_i, f_j = f.item(i), f.item(j)
             if f_i - f_j <= tol:
                 break
             if it >= max_iter:
                 raise _not_converged(tol, f_i - f_j, f"{max_iter} iterations")
             it += 1
+            y_i, y_j = ys[i], ys[j]
             d_i, d_j, alpha[i], alpha[j] = _pair_step(
-                ys[i], ys[j], float(alpha[i]), float(alpha[j]), f_i, f_j,
-                float(k[i, i]), float(k[j, j]), float(k[i, j]), c, tol, atol,
+                y_i, y_j, alpha[i], alpha[j], f_i, f_j,
+                diag[i], diag[j], k.item(i, j), c, tol, atol,
             )
-            f -= ys[i] * d_i * k[i] + ys[j] * d_j * k[j]
+            np.multiply(k[i], y_i * d_i, out=step)
+            np.multiply(k[j], y_j * d_j, out=row)
+            step += row
+            f -= step
             for t in (i, j):
                 a_t = alpha[t]
-                up[t] = a_t < top if pos[t] else a_t > atol
-                low[t] = a_t > atol if pos[t] else a_t < top
-        f, up, low = f.tolist(), up.tolist(), low.tolist()
+                up[t] = u = a_t < top if pos[t] else a_t > atol
+                low[t] = l = a_t > atol if pos[t] else a_t < top
+                pen_up[t] = 0.0 if u else -np.inf
+                pen_low[t] = 0.0 if l else np.inf
+        f = f.tolist()
 
     return np.asarray(alpha, dtype=np.float64), _bias(f, up, low), it
 
@@ -431,8 +465,9 @@ def train_binary(
     that trains several machines on the same rows passes it as gram,
     which must equal kernel_matrix(x, x, kernel).  The solve never reads
     x itself, so with a gram x may be None; without one it is required.
-    max_iter of 0 picks a generous default proportional to the training
-    size.
+    tol must be positive and finite and max_iter at least 0, else
+    ConfigError; max_iter of 0 picks a generous default proportional to
+    the training size.
 
     prior is a machine this function trained at another C on the same,
     unmodified gram object, with the same label bytes, kernel, tol and
@@ -455,7 +490,7 @@ def train_binary(
         and solve.gram() is gram
         and solve.tol == tol
         and solve.max_iter == max_iter
-        and prior.kernel == kernel
+        and (prior.kernel is kernel or prior.kernel == kernel)
         and solve.labels == np.asarray(y, dtype=np.float64).tobytes()
         and 0.0 < c < math.inf
         and solve.holds_at(prior.c, c)
@@ -478,6 +513,10 @@ def train_binary(
         raise TrainingError("training set contains a single class")
     if not 0.0 < c < math.inf:
         raise ConfigError(f"C must be positive and finite, got {c}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
     if gram is None:
         k = kernel_matrix(x, x, kernel)
     else:
@@ -487,14 +526,18 @@ def train_binary(
 
     cap = max_iter if max_iter > 0 else max(100_000, 1_000 * y.size)
     alpha, bias, it = _smo(k, y, c, tol, cap)
-    sv = alpha > _atol(c)
-    support, alpha_signed = np.flatnonzero(sv), (alpha * y)[sv]
+    # on lists, where a few rows cost less than NumPy's per-call overhead;
+    # y is +-1, so |alpha_t y_t| is alpha_t
+    alpha, ys, atol = alpha.tolist(), y.tolist(), _atol(c)
+    support = [t for t, a_t in enumerate(alpha) if a_t > atol]
+    signed = [alpha[t] * ys[t] for t in support]
+    amax, amin = max(alpha), min(map(abs, signed), default=math.inf)
+    support, alpha_signed = np.array(support, dtype=np.intp), np.array(signed, dtype=np.float64)
     # read-only from the start, so machines that reuse this solve share them
     support.flags.writeable = alpha_signed.flags.writeable = False
-    amax, amin = float(alpha.max()), float(alpha[sv].min(initial=math.inf))
     return BinarySvm(
         support, alpha_signed, bias, kernel, c,
-        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, amax, amin),
+        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, atol, amax, amin),
     )
 
 
@@ -581,19 +624,30 @@ def _vote(values: np.ndarray, pairs: list[tuple[int, int]], n_classes: int) -> n
     b otherwise.  The class with most votes wins; vote ties are broken
     by the larger sum of |decision| over the machines involving the
     class, added in the order of pairs, and any remaining tie by the
-    lower class index.  Votes and sums accumulate pair by pair into one
-    (class, column) table, so no temporary grows with the pair count.
+    lower class index.  Votes and sums accumulate into one (class,
+    column) table a run of pairs (a, b), (a, b + 1), ... at a time (one
+    against one order makes one run per class a): each b takes its row
+    of the run in one operation and a takes the rows one after another,
+    so every sum adds in pair order and no temporary outgrows a run.
     """
     n = values.shape[1]
     votes = np.zeros((n_classes, n), dtype=np.intp)
     weight = np.zeros((n_classes, n))
-    for (a, b), v in zip(pairs, values):
-        ahead = v >= 0
-        votes[a] += ahead
-        votes[b] += ~ahead
-        magnitude = np.abs(v)
-        weight[a] += magnitude
-        weight[b] += magnitude
+    start = 0
+    while start < len(pairs):
+        a, b = pairs[start]
+        stop = start + 1
+        while stop < len(pairs) and pairs[stop] == (a, b + stop - start):
+            stop += 1
+        run = values[start:stop]
+        ahead = run >= 0
+        votes[a] += ahead.sum(axis=0)
+        votes[b:b + stop - start] += ~ahead
+        magnitude = np.abs(run)
+        weight[b:b + stop - start] += magnitude
+        for row in magnitude:
+            weight[a] += row
+        start = stop
     heavy = np.where(votes == votes.max(axis=0), weight, -1.0)
     return (heavy == heavy.max(axis=0)).argmax(axis=0)
 
@@ -707,17 +761,17 @@ def model_select(
         for si, spec in enumerate(specs):
             gram, cross = _kernel_map(base_gram, spec), _kernel_map(base_cross, spec)
             values = np.empty((len(pairs), len(c_values), val_idx.size))
-            for p, (_, rows, y) in enumerate(split):
-                gram_r, cross_r = gram[rows[:, None], rows], cross[rows]
+            for row, (_, rows, y) in zip(values, split):
+                gram_r, cross_r = gram[rows[:, None], rows], cross.take(rows, axis=0)
                 machine = last = None
                 for ci in c_order:
                     prior, machine = machine, train_binary(
                         None, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
                     )
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
-                        values[p, ci] = values[p, last]
+                        row[ci] = row[last]
                     else:
-                        values[p, ci] = _decision(machine, cross_r)
+                        row[ci] = _decision(machine, cross_r)
                     last = ci
             pred = _vote(values.reshape(len(pairs), -1), pairs, len(classes))
             pred = pred.reshape(len(c_values), -1)

@@ -237,6 +237,18 @@ class TestRunProtocol:
         assert len(seen) == 2 * (2 * 2 + 1)
         assert seen == [0.02] * len(seen)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_tolerance_refused_before_the_first_split(self, monkeypatch, tol):
+        drawn = []
+        real = evaluation.stratified_split
+        monkeypatch.setattr(
+            evaluation, "stratified_split", lambda *a, **k: drawn.append(1) or real(*a, **k)
+        )
+        x, labels = blob_data(n_per_class=8)
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            run_protocol(x, labels, n_splits=2, tol=tol)
+        assert drawn == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         rng = np.random.default_rng(42)

@@ -21,9 +21,11 @@ def test_smallest_size_runs():
     header, line = proc.stdout.strip().splitlines()
     assert header.split("\t") == [
         "clips_per_class", "rows", "extract_s", "split_s", "map", "c",
-        "extract_rss_mb", "experiment_rss_mb", "solves", "reused", "smo_steps",
+        "extract_rss_mb", "experiment_rss_mb", "solves", "reused", "smo_steps", "smo_s",
     ]
-    n, rows, extract_s, split_s, score, c, extract_mb, experiment_mb, *solver = line.split("\t")
+    n, rows, extract_s, split_s, score, c, extract_mb, experiment_mb, *solver, smo_s = (
+        line.split("\t")
+    )
     assert (int(n), int(rows)) == (5, 95)
     assert float(extract_s) > 0.0 and float(split_s) > 0.0
     assert 10.0 < float(extract_mb) < 1000.0
@@ -35,6 +37,7 @@ def test_smallest_size_runs():
     solves, reused, steps = map(int, solver)
     assert solves + reused == 171 * (10 * 5 + 1)
     assert solves >= 171 * (5 + 1) and steps >= solves
+    assert float(smo_s) > 0.0
 
 
 def test_sizes_below_five_refused():

@@ -331,6 +331,29 @@ class TestBinarySvm:
             assert alpha.tobytes() == want_alpha.tobytes(), (n, spec.kind)
             assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
             assert it == want_it
+        # Duplicated rows of one label have equal kernel rows, so their f
+        # values tie exactly at every step and only the lowest index rule
+        # decides which of them moves; the oracle breaks ties that way.
+        split_ties = 0
+        for trial, n in enumerate([4, 8, small - 1, small, small + 1, 2 * small] * 4):
+            base = rng.standard_normal((max(2, n // 3), int(rng.integers(1, 6))))
+            base_y = np.where(rng.random(len(base)) < 0.5, -1.0, 1.0)
+            base_y[:2] = (-1.0, 1.0)
+            idx = np.concatenate([[0, 1], rng.integers(0, len(base), n - 2)])
+            spec = (
+                KernelSpec("linear") if trial % 2
+                else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
+            )
+            k = kernel_matrix(base, base, spec)[np.ix_(idx, idx)]
+            y, c = base_y[idx], float(10.0 ** rng.uniform(-3.0, 2.0))
+            alpha, bias, it = svm_module._smo(k, y, c, 1e-3, 10**6)
+            want_alpha, want_bias, want_it = smo_oracle(k, y, c, 1e-3, 10**6)
+            assert alpha.tobytes() == want_alpha.tobytes(), (n, spec.kind)
+            assert np.float64(bias).tobytes() == np.float64(want_bias).tobytes()
+            assert it == want_it
+            # copies of one row that end with different alpha were told apart by index
+            split_ties += any(len(set(alpha[idx == r])) > 1 for r in range(len(base)))
+        assert split_ties >= 8, split_ties
 
     @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
     def test_stalled_solve_raises(self, monkeypatch, small_n):
@@ -388,6 +411,21 @@ class TestBinarySvm:
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ConfigError, match="finite"):
             train_binary(x, np.array([-1.0, 1.0]), c, KernelSpec("linear"))
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_tolerance_refused(self, tol):
+        """A tolerance that is not positive and finite is a configuration
+        error, not a solve that stalls or stops at once."""
+        x, y = np.array([[0.0], [1.0]]), np.array([-1.0, 1.0])
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            train_binary(x, y, 1.0, KernelSpec("linear"), tol=tol)
+
+    def test_negative_iteration_cap_refused(self):
+        x, y = np.array([[0.0], [1.0]]), np.array([-1.0, 1.0])
+        with pytest.raises(ConfigError, match="max_iter must be >= 0"):
+            train_binary(x, y, 1.0, KernelSpec("linear"), max_iter=-1)
+        # 0 still picks the default cap
+        assert train_binary(x, y, 1.0, KernelSpec("linear"), max_iter=0).solve.iterations == 1
 
     def test_bias_mean_bit_identical_to_numpy(self):
         """The bias tail averages the free values as np.mean does, bit
@@ -757,6 +795,24 @@ class TestOneVsOne:
             n_classes = int(rng.integers(2, 7))
             pairs = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
             pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            if trial % 2:
+                values = rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.3], (len(pairs), 9))
+            else:
+                values = rng.standard_normal((len(pairs), 9))
+            got = svm_module._vote(values, pairs, n_classes)
+            np.testing.assert_array_equal(got, vote_oracle(values, pairs, n_classes))
+
+    def test_vote_over_runs_of_pairs_matches_oracle(self):
+        """Pairs in one against one order come in one run per first class,
+        which _vote sums a run at a time; the winners are the plain
+        loop's, with vote and weight ties common, also when a missing
+        pair splits a run."""
+        rng = np.random.default_rng(15)
+        for trial in range(80):
+            n_classes = int(rng.integers(2, 9))
+            pairs = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+            if trial % 3 == 0 and len(pairs) > 1:
+                del pairs[int(rng.integers(len(pairs)))]
             if trial % 2:
                 values = rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.3], (len(pairs), 9))
             else:
