@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .audio import write_wav
 from .errors import ConfigError, DataError, DatasetError, ScenehogError
-from .evaluation import check_class_names, read_report, stratified_split, write_report
+from .evaluation import check_class_names, read_report, write_report
 from .metrics import column_normalize, wilcoxon_signed_rank
 from .pipeline import extract_clips, generate_toy, parse_config_file, run_experiment
 from .store import SplitManifest, read_features, scan_dataset, write_features, write_pgm
@@ -149,21 +149,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     report = run_experiment(x, labels, cfg)
     write_report(args.report, report)
     if args.manifest_dir:
-        ids = [f"row{idx:06d}" for idx in range(x.shape[0])]
-        for split in range(cfg.n_splits):
-            train_idx, test_idx = stratified_split(
-                labels,
-                seed=cfg.seed,
-                split_index=split,
-                train_frac=cfg.train_frac,
-                fixed_train_count=cfg.fixed_train_count or None,
-            )
-            manifest = SplitManifest(
-                cfg.seed,
-                split,
-                [ids[i] for i in train_idx],
-                [ids[i] for i in test_idx],
-            )
+        for split, halves in enumerate(report.splits):
+            # ids are feature-file row numbers: feature files keep no source ids
+            ids = ([f"row{i:06d}" for i in half] for half in halves)
+            manifest = SplitManifest(report.seed, split, *ids)
             manifest.write(Path(args.manifest_dir) / f"split_{split:03d}.txt")
     if args.heatmap:
         write_pgm(args.heatmap, column_normalize(report.confusion_sum))

@@ -95,6 +95,8 @@ class EvalReport:
     confusion_sum         integer counts, rows true / columns predicted
     chosen_c, chosen_sigma  per split model selection outcome (sigma is
                           NaN for the linear kernel)
+    splits                (train_idx, test_idx) row indices of each split, as
+                          run_protocol drew them; not written to report files
     """
 
     classes: list[str]
@@ -108,6 +110,7 @@ class EvalReport:
     chosen_c: np.ndarray
     chosen_sigma: np.ndarray
     params: dict[str, str] = field(default_factory=dict)
+    splits: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def map_mean(self) -> float:
@@ -184,22 +187,23 @@ def run_protocol(
         return (
             map_score_codes(true, pred, n_classes),
             confusion_codes(true, pred, n_classes),
-            c, np.nan if sigma is None else sigma, train_idx.size, test_idx.size,
+            c, np.nan if sigma is None else sigma, (train_idx, test_idx),
         )
 
-    maps, confusions, chosen_c, chosen_sigma, n_train, n_test = zip(*map(job, range(n_splits)))
+    maps, confusions, chosen_c, chosen_sigma, splits = zip(*map(job, range(n_splits)))
     return EvalReport(
         classes=classes,
         seed=seed,
         n_splits=n_splits,
-        n_train=n_train[0],
-        n_test=n_test[0],
+        n_train=splits[0][0].size,
+        n_test=splits[0][1].size,
         kernel_kind=kernel_kind,
         per_split_map=np.asarray(maps),
         confusion_sum=np.sum(confusions, axis=0),
         chosen_c=np.asarray(chosen_c),
         chosen_sigma=np.asarray(chosen_sigma),
         params=dict(params or {}),
+        splits=splits,
     )
 
 
@@ -271,6 +275,7 @@ def read_report(path: str | Path) -> EvalReport:
     header: dict[str, str] = {}
     per_split: list[list[float]] = []
     confusion: list[list[int]] = []
+    row_names: list[str] = []
     section = "header"
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -293,11 +298,15 @@ def read_report(path: str | Path) -> EvalReport:
             cells = line.split(",")
             if len(cells) != 4:
                 raise FormatError(f"{path}: per_split row {line!r} needs 4 cells")
+            if _parse_cell(path, int, cells[0]) != len(per_split):
+                raise FormatError(f"{path}: per_split row {line!r} is not split {len(per_split)}")
             per_split.append([_parse_cell(path, float, v) for v in cells[1:]])
         else:
             if line.startswith("true\\pred"):
                 continue
-            confusion.append([_parse_cell(path, int, v) for v in line.split(",")[1:]])
+            name, *cells = line.split(",")
+            row_names.append(name)
+            confusion.append([_parse_cell(path, int, v) for v in cells])
     if header.get("format") != _REPORT_FORMAT:
         raise FormatError(f"{path}: not a report file")
     if header.get("version") != str(_REPORT_VERSION):
@@ -309,6 +318,9 @@ def read_report(path: str | Path) -> EvalReport:
     classes = header["classes"].split(",")
     if any(len(row) != len(classes) for row in confusion) or len(confusion) != len(classes):
         raise FormatError(f"{path}: confusion matrix is not {len(classes)}x{len(classes)}")
+    for k, (name, want) in enumerate(zip(row_names, classes)):
+        if name != want:
+            raise FormatError(f"{path}: confusion row {k} is named {name!r}, not {want!r}")
     table = np.asarray(per_split, dtype=np.float64).reshape(len(per_split), 3)
     if not np.all(np.isfinite(table[:, :2])):
         raise FormatError(f"{path}: non-finite per_split map or c")

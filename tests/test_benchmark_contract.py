@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scenehog import extract_clip, extract_clips, generate_toy, parse_config_file
+from scenehog import extract_clip, extract_clips, generate_toy, parse_config_file, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,6 +93,30 @@ def test_rebound_stage_functions_see_every_call():
         cfg = parse_config_file(None, SMALL + MODES["grid"])
         extract_clip(generate_toy(cfg)[0], cfg)
         assert {name: c.calls for name, c in counters.items()} == dict.fromkeys(names, 1)
+    finally:
+        for name, original in originals.items():
+            tracer._rebind(tracer._lookup(name), original)
+
+
+def test_rebound_evaluation_functions_see_every_call():
+    """run_protocol and the SVM layer look the split and SVM functions up
+    at call time, so one run_experiment makes every evaluation-side span
+    perfbench requires record calls, and each split is drawn once."""
+    tracer, layers = load_perfbench("tracer"), load_perfbench("layers")
+    names = [name for name in layers.REQUIRED if name.startswith(("evaluation.", "svm."))]
+    assert len(names) == 7
+    originals = {name: tracer._lookup(name) for name in names}
+    try:
+        counters = {name: tracer.CallCounter(name) for name in names}
+        rng = np.random.default_rng(0)
+        labels = np.repeat(["a", "b", "c"], 6)
+        x = rng.normal(size=(labels.size, 4)) + np.repeat(np.eye(3, 4) * 3.0, 6, axis=0)
+        cfg = parse_config_file(None, ["n_splits=3", "train_frac=0.5", "n_resample=2"])
+        run_experiment(x, labels, cfg)
+        calls = {name: c.calls for name, c in counters.items()}
+        assert all(calls.values()), calls
+        assert calls["evaluation.stratified_split"] == cfg.n_splits
+        assert calls["evaluation.run_protocol"] == 1
     finally:
         for name, original in originals.items():
             tracer._rebind(tracer._lookup(name), original)

@@ -237,6 +237,18 @@ class TestRunProtocol:
         assert len(seen) == 2 * (2 * 2 + 1)
         assert seen == [0.02] * len(seen)
 
+    def test_report_keeps_the_splits_it_drew(self):
+        """report.splits holds each split's index pair as stratified_split
+        draws it from (seed, i); n_train and n_test are split 0's sizes."""
+        x, labels = blob_data(n_per_class=8)
+        report = run_protocol(x, labels, n_splits=3, seed=5, train_frac=0.7)
+        assert len(report.splits) == 3
+        for i, (train_idx, test_idx) in enumerate(report.splits):
+            want = stratified_split(labels, seed=5, split_index=i, train_frac=0.7)
+            np.testing.assert_array_equal(train_idx, want[0])
+            np.testing.assert_array_equal(test_idx, want[1])
+        assert (report.n_train, report.n_test) == (12, 4)
+
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_bad_tolerance_refused_before_the_first_split(self, monkeypatch, tol):
         drawn = []
@@ -344,6 +356,50 @@ class TestReportFiles:
         assert rc == 3
         assert "cafe,bar" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_report_file_keeps_no_splits(self, tmp_path):
+        report = self.make_report()
+        write_report(tmp_path / "report.txt", report)
+        assert len(report.splits) == 3
+        assert read_report(tmp_path / "report.txt").splits == ()
+
+    def tamper(self, tmp_path, edit):
+        """Write a good report, then a copy with `edit` applied to its lines."""
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        write_report(good, self.make_report())
+        lines = good.read_text().splitlines()
+        edit(lines)
+        bad.write_text("\n".join(lines) + "\n")
+        return good, bad
+
+    def assert_refused(self, capsys, good, bad, message):
+        with pytest.raises(FormatError, match=message):
+            read_report(bad)
+        rc = main(["compare", "--report-a", str(good), "--report-b", str(bad)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+    def test_split_row_out_of_place_refused(self, tmp_path, capsys):
+        """The first per_split row claiming to be split 7 was read as split 0."""
+
+        def edit(lines):
+            k = lines.index("split,map,c,sigma") + 1
+            assert lines[k].startswith("0,")
+            lines[k] = "7" + lines[k][1:]
+
+        good, bad = self.tamper(tmp_path, edit)
+        self.assert_refused(capsys, good, bad, "is not split 0")
+
+    def test_confusion_row_of_another_class_refused(self, tmp_path, capsys):
+        """The second confusion row named zzz was read as the row of class lo."""
+
+        def edit(lines):
+            k = lines.index("[confusion_sum]") + 3  # past the column header and row 0
+            assert lines[k].startswith("lo,")
+            lines[k] = "zzz" + lines[k][2:]
+
+        good, bad = self.tamper(tmp_path, edit)
+        self.assert_refused(capsys, good, bad, "confusion row 1 is named 'zzz', not 'lo'")
 
     @pytest.mark.parametrize(
         "old,new",

@@ -34,6 +34,7 @@ from scenehog import (
 )
 from scenehog import pipeline
 from scenehog import cli
+from scenehog import evaluation
 from scenehog import store
 from scenehog import svm
 from scenehog import util
@@ -430,6 +431,26 @@ class TestParallelMap:
         assert util.usable_cores() == 1
 
 
+def assert_manifests_are_the_splits(directory, report, cfg, labels, draw):
+    """Manifest i names the rows of report.splits[i], and its bytes are
+    those of a SplitManifest built from a fresh draw of split i."""
+    paths = sorted(directory.glob("split_*.txt"))
+    assert [p.name for p in paths] == [f"split_{i:03d}.txt" for i in range(cfg.n_splits)]
+    assert len(report.splits) == cfg.n_splits
+    for i, (path, halves) in enumerate(zip(paths, report.splits)):
+        manifest = store.SplitManifest.read(path)
+        assert (manifest.seed, manifest.split_index) == (cfg.seed, i)
+        assert [manifest.train_ids, manifest.test_ids] == [
+            [f"row{j:06d}" for j in half] for half in halves
+        ]
+        again = draw(
+            labels, seed=cfg.seed, split_index=i, train_frac=cfg.train_frac,
+            fixed_train_count=cfg.fixed_train_count or None,
+        )
+        want = store.SplitManifest(cfg.seed, i, *([f"row{j:06d}" for j in h] for h in again))
+        assert path.read_bytes() == want.to_text().encode()
+
+
 @pytest.fixture(scope="module")
 def toy_workspace(tmp_path_factory):
     """One CLI toygen/extract/experiment flow shared by the CLI tests."""
@@ -580,8 +601,28 @@ class TestCli:
             got = dump / f"{clip.source_id}.pgm"
             assert got.read_bytes() == want.read_bytes()
 
-    def test_experiment(self, toy_workspace, capsys):
+    def test_experiment(self, toy_workspace, capsys, monkeypatch):
+        """Each split is drawn once, by the run itself, and manifest i
+        lists the rows of the run's split i.  The manifests are the bytes
+        that drawing split i again from the config gives, under the
+        workspace's fixed_train_count and under a train_frac."""
         root, cfg_file = toy_workspace
+        real_split, real_run = evaluation.stratified_split, cli.run_experiment
+        drawn, runs = [], []
+
+        def counted(*args, **kwargs):
+            drawn.append(kwargs["split_index"])
+            return real_split(*args, **kwargs)
+
+        # every binding of stratified_split in the package, as perfbench's counter rebinds
+        for name, module in list(sys.modules.items()):
+            if name == "scenehog" or name.startswith("scenehog."):
+                for attr, value in list(vars(module).items()):
+                    if value is real_split:
+                        monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda *a: runs.append(real_run(*a)) or runs[-1]
+        )
         report_path = root / "report.txt"
         rc, table, _ = run_cli(
             capsys, "experiment", "--config", cfg_file,
@@ -589,15 +630,32 @@ class TestCli:
             "--manifest-dir", root / "splits", "--heatmap", root / "confusion.pgm",
         )
         assert rc == 0
+        assert drawn == [0, 1, 2]
         assert table["n_splits"] == "3"
         assert table["n_train"] == "4" and table["n_test"] == "6"
         report = read_report(report_path)
         assert report.n_splits == 3
         assert 0.0 <= report.map_mean <= 1.0
         assert float(table["map_mean"]) == pytest.approx(report.map_mean, abs=1e-6)
-        manifests = sorted((root / "splits").glob("split_*.txt"))
-        assert len(manifests) == 3
         assert (root / "confusion.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+        _, labels, _ = read_features(root / "toy.features")
+        assert_manifests_are_the_splits(
+            root / "splits", runs[0], parse_config_file(cfg_file, []), labels, real_split
+        )
+
+        drawn.clear()
+        frac = ["fixed_train_count=0", "train_frac=0.6"]
+        rc, table, _ = run_cli(
+            capsys, "experiment", "--config", cfg_file, *(a for s in frac for a in ("--set", s)),
+            "--features", root / "toy.features", "--report", root / "frac_report.txt",
+            "--manifest-dir", root / "frac_splits",
+        )
+        assert rc == 0
+        assert drawn == [0, 1, 2]
+        assert table["n_train"] == "6" and table["n_test"] == "4"
+        assert_manifests_are_the_splits(
+            root / "frac_splits", runs[1], parse_config_file(cfg_file, frac), labels, real_split
+        )
 
     @pytest.mark.parametrize(
         "sets", [("c_grid=nan",), ("c_grid=inf",),
