@@ -137,15 +137,12 @@ def run_protocol(
     c_grid=None,
     sigma_grid=None,
     n_resample: int = 5,
-    tol: float = 1e-3,
     params: dict[str, str] | None = None,
 ) -> EvalReport:
     """Run n_splits independent evaluations and aggregate them.
 
     Split i is fully determined by (seed, i).  Splits run one after another
-    in the calling thread, since the SMO step loop holds the GIL.  tol,
-    every machine's KKT tolerance, must be positive and finite; any other
-    is refused with ConfigError before the first split is drawn.
+    in the calling thread, since the SMO step loop holds the GIL.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray([str(v) for v in labels])
@@ -157,8 +154,6 @@ def run_protocol(
         raise DataError("features have no columns")
     if n_splits < 1:
         raise ConfigError("n_splits must be >= 1")
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
     classes, codes = class_codes(labels)
     if len(classes) < 2:
         raise ProtocolError("evaluation needs at least two classes")
@@ -174,11 +169,11 @@ def run_protocol(
         x_train = scaler.apply(x_train)
         c, sigma, _ = svm.model_select(
             x_train, train_labels, kernel_kind, c_grid=c_grid, sigma_grid=sigma_grid,
-            n_resample=n_resample, seed=int(rng_from(seed, i, 1).integers(2**63)), tol=tol,
+            n_resample=n_resample, seed=int(rng_from(seed, i, 1).integers(2**63)),
         )
         spec = svm.KernelSpec("linear") if sigma is None else svm.KernelSpec("gaussian", sigma)
         model = svm.train_one_vs_one(
-            x_train, train_labels, c, spec, classes=classes, standardizer=scaler, tol=tol
+            x_train, train_labels, c, spec, classes=classes, standardizer=scaler
         )
         del x_train  # the model holds its own copy of its support rows
         # predict returns class names; they are sorted, so one search gives their indices

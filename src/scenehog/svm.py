@@ -20,15 +20,15 @@ them across the whole C grid and scores the grid with one vote per half
 and sigma.  A model stores the training rows its machines use once,
 and predict scores every machine from one kernel block against them.
 
+Every machine stops at the same rule, m - M <= TOL = 1e-3 (LIBSVM's
+default).  train_binary takes a machine's Gram, never its feature
+rows, so callers slice each pair's block and copy no pair's rows.
 train_binary(prior=) returns a prior machine's solution at a new C
 without solving when the alpha that solve returned already meets the
 stopping rule there (Fan, Chen and Lin, JMLR 2005; _Solve.holds_at);
 model selection walks each pair's C values in ascending order to use
-it.  The solve reads only the Gram, never the feature rows, so a
-caller that passes a Gram may pass None for x (model selection and
-train_one_vs_one do, and copy no pair's rows), and a prior is reused
-on the key (Gram object, label bytes, tol, max_iter, kernel), which
-train_binary tests before anything else.
+it.  A prior is reused on the key (Gram object, label bytes, kernel),
+which train_binary tests before anything else.
 
 The dual problem solved for each binary machine is
 
@@ -70,6 +70,7 @@ __all__ = [
 
 STD_FLOOR = 1e-12
 _STD_BLOCK = 256
+TOL = 1e-3  # every machine's KKT tolerance: it stops at m - M <= TOL
 
 
 @dataclass(frozen=True)
@@ -232,15 +233,13 @@ class _Solve(NamedTuple):
     """What an SMO solve ran on, and the extremes of the alpha it returned.
 
     gram is a weak reference to the kernel matrix, so a machine does not
-    keep it alive; labels holds the bytes of y and max_iter the value
-    train_binary was given.  atol is _atol of the solve's C, amax the
-    largest alpha and amin the smallest above atol (inf if none).
+    keep it alive; labels holds the bytes of y.  atol is _atol of the
+    solve's C, amax the largest alpha and amin the smallest above atol
+    (inf if none).
     """
 
     gram: weakref.ref
     labels: bytes
-    tol: float
-    max_iter: int
     iterations: int
     atol: float
     amax: float
@@ -449,37 +448,29 @@ def _smo(
 
 
 def train_binary(
-    x: np.ndarray | None,
+    gram: np.ndarray,
     y: np.ndarray,
     c: float,
     kernel: KernelSpec,
     *,
-    tol: float = 1e-3,
-    max_iter: int = 0,
-    gram: np.ndarray | None = None,
     prior: BinarySvm | None = None,
 ) -> BinarySvm:
-    """Train one soft margin machine on labels in {-1, +1}.
-
-    The kernel matrix is computed once and held in memory; a caller
-    that trains several machines on the same rows passes it as gram,
-    which must equal kernel_matrix(x, x, kernel).  The solve never reads
-    x itself, so with a gram x may be None; without one it is required.
-    tol must be positive and finite and max_iter at least 0, else
-    ConfigError; max_iter of 0 picks a generous default proportional to
-    the training size.
+    """Train one soft margin machine on labels in {-1, +1} from its
+    kernel matrix gram, kernel_matrix(x, x, kernel) of its rows x, to
+    the KKT tolerance TOL.  A solve that takes more than
+    max(100_000, 1_000 n) steps on n rows raises TrainingError.
 
     prior is a machine this function trained at another C on the same,
-    unmodified gram object, with the same label bytes, kernel, tol and
-    max_iter (x is not part of that key).  Those arguments were checked
-    when the prior was solved, so the prior is tested first and only c
-    is checked again.  If c is valid and the prior's returned alpha
-    meets the stopping rule at c as it is (_Solve.holds_at), the machine
-    shares the prior's alpha, bias and support indices with c as its
-    cost, and _smo does not run: a solution at c within tol, though not
-    always the bits of a solve from alpha = 0 at c.  Any other prior is
-    ignored.  A solved machine's support and alpha_signed arrays are
-    read-only, so the machines that share them cannot change each other.
+    unmodified gram object, with the same label bytes and kernel.  Those
+    arguments were checked when the prior was solved, so the prior is
+    tested first and only c is checked again.  If c is valid and the
+    prior's returned alpha meets the stopping rule at c as it is
+    (_Solve.holds_at), the machine shares the prior's alpha, bias and
+    support indices with c as its cost, and _smo does not run: a
+    solution at c within TOL, though not always the bits of a solve from
+    alpha = 0 at c.  Any other prior is ignored.  A solved machine's
+    support and alpha_signed arrays are read-only, so the machines that
+    share them cannot change each other.
     """
     # a prior solved afresh on this very gram object and these label
     # bytes passed the checks below then, so only c is left to check
@@ -488,8 +479,6 @@ def train_binary(
         solve is not None
         and gram is not None
         and solve.gram() is gram
-        and solve.tol == tol
-        and solve.max_iter == max_iter
         and (prior.kernel is kernel or prior.kernel == kernel)
         and solve.labels == np.asarray(y, dtype=np.float64).tobytes()
         and 0.0 < c < math.inf
@@ -498,13 +487,6 @@ def train_binary(
         return BinarySvm(prior.support, prior.alpha_signed, prior.bias, kernel, c, solve)
 
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x is None:
-        if gram is None:
-            raise ConfigError("train_binary needs the feature rows x when no gram is given")
-    else:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[0] != y.size:
-            raise ConfigError(f"{x.shape[0]} rows but {y.size} labels")
     n_pos = np.count_nonzero(y == 1.0)
     n_neg = np.count_nonzero(y == -1.0)
     if n_pos + n_neg != y.size:
@@ -513,19 +495,11 @@ def train_binary(
         raise TrainingError("training set contains a single class")
     if not 0.0 < c < math.inf:
         raise ConfigError(f"C must be positive and finite, got {c}")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 0:
-        raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
-    if gram is None:
-        k = kernel_matrix(x, x, kernel)
-    else:
-        k = np.asarray(gram, dtype=np.float64)
-        if k.shape != (y.size, y.size):
-            raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
+    k = np.asarray(gram, dtype=np.float64)
+    if k.shape != (y.size, y.size):
+        raise ConfigError(f"gram has shape {k.shape}, expected {(y.size, y.size)}")
 
-    cap = max_iter if max_iter > 0 else max(100_000, 1_000 * y.size)
-    alpha, bias, it = _smo(k, y, c, tol, cap)
+    alpha, bias, it = _smo(k, y, c, TOL, max(100_000, 1_000 * y.size))
     # on lists, where a few rows cost less than NumPy's per-call overhead;
     # y is +-1, so |alpha_t y_t| is alpha_t
     alpha, ys, atol = alpha.tolist(), y.tolist(), _atol(c)
@@ -537,7 +511,7 @@ def train_binary(
     support.flags.writeable = alpha_signed.flags.writeable = False
     return BinarySvm(
         support, alpha_signed, bias, kernel, c,
-        _Solve(weakref.ref(k), y.tobytes(), tol, max_iter, it, atol, amax, amin),
+        _Solve(weakref.ref(k), y.tobytes(), it, atol, amax, amin),
     )
 
 
@@ -587,7 +561,6 @@ def train_one_vs_one(
     *,
     classes: list[str] | None = None,
     standardizer: Standardizer | None = None,
-    tol: float = 1e-3,
 ) -> SvmModel:
     """Train all class pair machines on already standardized features,
     each on its pair's block of one kernel matrix over all rows; the
@@ -605,7 +578,7 @@ def train_one_vs_one(
         raise TrainingError("training set contains a single class")
     gram = kernel_matrix(x, x, kernel)
     fits = [
-        (pair, rows, train_binary(None, y, c, kernel, tol=tol, gram=gram[rows[:, None], rows]))
+        (pair, rows, train_binary(gram[rows[:, None], rows], y, c, kernel))
         for pair, rows, y in _class_pairs(codes, classes)
     ]
     # np.unique would import numpy.ma (14 ms, 0.5 MB RSS) into the process
@@ -689,7 +662,6 @@ def model_select(
     sigma_grid: tuple[float, ...] | None = None,
     n_resample: int = 5,
     seed: int = 0,
-    tol: float = 1e-3,
 ) -> tuple[float, float | None, float]:
     """Pick (C, sigma) by averaged validation score over random halves.
 
@@ -699,8 +671,7 @@ def model_select(
     on the learning half and is scored by mean average precision on the
     validation half; the candidate with the best average wins.  Ties go
     to the smaller C, then the smaller sigma.  For the linear kernel the
-    sigma grid is ignored.  Every machine trains to the KKT tolerance
-    tol.  Returns (c, sigma_or_None, best_score).
+    sigma grid is ignored.  Returns (c, sigma_or_None, best_score).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] == 0:
@@ -766,7 +737,7 @@ def model_select(
                 machine = last = None
                 for ci in c_order:
                     prior, machine = machine, train_binary(
-                        None, y, c_values[ci], spec, tol=tol, gram=gram_r, prior=machine
+                        gram_r, y, c_values[ci], spec, prior=machine
                     )
                     if prior is not None and machine.alpha_signed is prior.alpha_signed:
                         row[ci] = row[last]

@@ -249,7 +249,7 @@ def test_solver_against_qp_oracle():
         else:
             spec = KernelSpec("linear")
         k = kernel_matrix(x, x, spec)
-        machine = train_binary(x, y, c, spec)
+        machine = train_binary(k, y, c, spec)
         alpha = full_alpha(machine, x)
         mine = svm_dual_objective(k, y, alpha)
         _, best = svm_dual_slsqp(k, y, c)

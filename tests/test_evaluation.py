@@ -217,26 +217,6 @@ class TestRunProtocol:
         with pytest.raises(DataError, match="no columns"):
             train_one_vs_one(x, labels, 1.0, KernelSpec("linear"))
 
-    def test_tol_reaches_model_selection(self, monkeypatch):
-        """Every machine, in model selection and in the final one against
-        one training, trains to the caller's tolerance."""
-        seen = []
-        real = svm.train_binary
-
-        def recorded(*args, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(svm, "train_binary", recorded)
-        x, labels = blob_data(n_per_class=8)
-        run_protocol(
-            x, labels, n_splits=2, seed=3, c_grid=np.array([0.1, 1.0]),
-            n_resample=2, tol=0.02,
-        )
-        # per split: |C| x halves x one pair in model selection, then one machine
-        assert len(seen) == 2 * (2 * 2 + 1)
-        assert seen == [0.02] * len(seen)
-
     def test_report_keeps_the_splits_it_drew(self):
         """report.splits holds each split's index pair as stratified_split
         draws it from (seed, i); n_train and n_test are split 0's sizes."""
@@ -248,18 +228,6 @@ class TestRunProtocol:
             np.testing.assert_array_equal(train_idx, want[0])
             np.testing.assert_array_equal(test_idx, want[1])
         assert (report.n_train, report.n_test) == (12, 4)
-
-    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
-    def test_bad_tolerance_refused_before_the_first_split(self, monkeypatch, tol):
-        drawn = []
-        real = evaluation.stratified_split
-        monkeypatch.setattr(
-            evaluation, "stratified_split", lambda *a, **k: drawn.append(1) or real(*a, **k)
-        )
-        x, labels = blob_data(n_per_class=8)
-        with pytest.raises(ConfigError, match="tol must be positive and finite"):
-            run_protocol(x, labels, n_splits=2, tol=tol)
-        assert drawn == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):

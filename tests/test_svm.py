@@ -196,15 +196,16 @@ class TestStandardizer:
 
 class TestBinarySvm:
     def test_two_point_analytic(self):
-        """Points -1 and +1 with C >= 0.5: f(x) = x, zero bias."""
+        """Points -1 and +1 with C >= 0.5: f(x) = x, zero bias, reached
+        in one step."""
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        svm = train_binary(x, y, 10.0, KernelSpec("linear"))
+        spec = KernelSpec("linear")
+        svm = train_binary(kernel_matrix(x, x, spec), y, 10.0, spec)
+        assert svm.solve.iterations == 1
         assert svm.bias == pytest.approx(0.0, abs=1e-9)
         grid = np.array([[-2.0], [0.0], [0.5], [3.0]])
-        np.testing.assert_allclose(
-            decide(svm, x, grid, KernelSpec("linear")), grid.ravel(), atol=1e-9
-        )
+        np.testing.assert_allclose(decide(svm, x, grid, spec), grid.ravel(), atol=1e-9)
         alpha = recover_alpha(svm, x)
         np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-9)
 
@@ -212,7 +213,7 @@ class TestBinarySvm:
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         spec = KernelSpec("gaussian", sigma=0.7)
-        svm = train_binary(x, y, 100.0, spec)
+        svm = train_binary(kernel_matrix(x, x, spec), y, 100.0, spec)
         assert np.all(np.sign(decide(svm, x, x, spec)) == y)
 
     def test_decision_formula(self):
@@ -221,7 +222,7 @@ class TestBinarySvm:
         y = np.where(rng.random(14) < 0.5, -1.0, 1.0)
         y[:2] = (-1.0, 1.0)
         spec = KernelSpec("gaussian", sigma=2.0)
-        svm = train_binary(x, y, 5.0, spec)
+        svm = train_binary(kernel_matrix(x, x, spec), y, 5.0, spec)
         probe = rng.standard_normal((6, 3))
         k = kernel_matrix(probe, x[svm.support], spec)
         np.testing.assert_allclose(
@@ -238,7 +239,7 @@ class TestBinarySvm:
             c = float(rng.choice([0.1, 1.0, 10.0]))
             spec = KernelSpec("linear") if trial % 2 else KernelSpec("gaussian", sigma=1.5)
             k = kernel_matrix(x, x, spec)
-            svm = train_binary(x, y, c, spec)
+            svm = train_binary(k, y, c, spec)
             alpha = recover_alpha(svm, x)
             mine = svm_dual_objective(k, y, alpha)
             _, best = svm_dual_slsqp(k, y, c)
@@ -252,7 +253,7 @@ class TestBinarySvm:
         c = 2.0
         spec = KernelSpec("linear")
         k = kernel_matrix(x, x, spec)
-        svm = train_binary(x, y, c, spec)
+        svm = train_binary(k, y, c, spec)
         mine = svm_dual_objective(k, y, recover_alpha(svm, x))
         best = svm_dual_enumerate(k, y, c)
         assert mine == pytest.approx(best, rel=1e-6, abs=1e-9)
@@ -263,7 +264,8 @@ class TestBinarySvm:
         y = np.where(x[:, 0] + 0.3 * rng.standard_normal(20) > 0, 1.0, -1.0)
         y[:2] = (-1.0, 1.0)
         c = 1.0
-        svm = train_binary(x, y, c, KernelSpec("linear"))
+        spec = KernelSpec("linear")
+        svm = train_binary(kernel_matrix(x, x, spec), y, c, spec)
         alpha = recover_alpha(svm, x)
         assert alpha.min() >= 0.0 and alpha.max() <= c + 1e-12
         assert (alpha * y).sum() == pytest.approx(0.0, abs=1e-9)
@@ -273,19 +275,21 @@ class TestBinarySvm:
         x = rng.standard_normal((16, 3))
         y = np.where(rng.random(16) < 0.5, -1.0, 1.0)
         y[:2] = (-1.0, 1.0)
-        a = train_binary(x, y, 3.0, KernelSpec("gaussian", sigma=1.0))
-        b = train_binary(x, y, 3.0, KernelSpec("gaussian", sigma=1.0))
+        spec = KernelSpec("gaussian", sigma=1.0)
+        a = train_binary(kernel_matrix(x, x, spec), y, 3.0, spec)
+        b = train_binary(kernel_matrix(x, x, spec), y, 3.0, spec)
         np.testing.assert_array_equal(a.alpha_signed, b.alpha_signed)
         assert a.bias == b.bias
 
     def test_input_validation(self):
         x = np.array([[0.0], [1.0]])
+        k = kernel_matrix(x, x, KernelSpec("linear"))
         with pytest.raises(TrainingError):
-            train_binary(x, np.array([1.0, 1.0]), 1.0, KernelSpec("linear"))
+            train_binary(k, np.array([1.0, 1.0]), 1.0, KernelSpec("linear"))
         with pytest.raises(TrainingError):
-            train_binary(x, np.array([0.0, 1.0]), 1.0, KernelSpec("linear"))
+            train_binary(k, np.array([0.0, 1.0]), 1.0, KernelSpec("linear"))
         with pytest.raises(ConfigError):
-            train_binary(x, np.array([-1.0, 1.0]), 0.0, KernelSpec("linear"))
+            train_binary(k, np.array([-1.0, 1.0]), 0.0, KernelSpec("linear"))
 
     def test_solver_bit_identical_to_oracle(self):
         """The maintained violation vector reproduces the recompute-everything
@@ -365,7 +369,7 @@ class TestBinarySvm:
         with pytest.raises(TrainingError, match="pinned at the box.*gap m - M = 2"):
             svm_module._smo(k, y, 1.0, 1e-3, 10**6)
         with pytest.raises(TrainingError, match="tolerance"):
-            train_binary(np.zeros((2, 1)), y, 1.0, KernelSpec("linear"), gram=k)
+            train_binary(k, y, 1.0, KernelSpec("linear"))
 
     @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
     def test_iteration_cap_reports_gap(self, monkeypatch, small_n):
@@ -378,54 +382,25 @@ class TestBinarySvm:
             svm_module._smo(k, y, 10.0, 1e-3, 1)
 
     def test_given_gram_is_bit_identical(self):
+        """The solve reads the Gram's values only: a Fortran-ordered copy
+        and nested lists train the machine of the C-ordered array, bit
+        for bit, on both sides of SMALL_N."""
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((15, 4))
-        y = np.where(rng.random(15) < 0.5, -1.0, 1.0)
-        y[:2] = (-1.0, 1.0)
-        for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=2.0)):
-            plain = train_binary(x, y, 2.0, spec)
-            given = train_binary(x, y, 2.0, spec, gram=kernel_matrix(x, x, spec))
-            assert given.alpha_signed.tobytes() == plain.alpha_signed.tobytes()
-            assert given.bias == plain.bias
-            np.testing.assert_array_equal(given.support, plain.support)
-
-    def test_gram_without_rows_is_bit_identical(self):
-        """With a gram the solve never reads x, so x=None gives the
-        machine and solve record of the call with rows, bit for bit."""
-        rng = np.random.default_rng(43)
-        for n in (9, svm_module.SMALL_N + 5):
-            x, y = separable(rng, n)
+        for n in (15, svm_module.SMALL_N + 5):
+            x = rng.standard_normal((n, 4))
+            y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            y[:2] = (-1.0, 1.0)
             for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=2.0)):
                 gram = kernel_matrix(x, x, spec)
-                want = train_binary(x, y, 3.0, spec, gram=gram)
-                got = train_binary(None, y, 3.0, spec, gram=gram)
-                assert_same_solve(got, want)
-                assert got.solve == want.solve
-
-    def test_rows_required_without_gram(self):
-        with pytest.raises(ConfigError, match="needs the feature rows"):
-            train_binary(None, np.array([1.0, -1.0]), 1.0, KernelSpec("linear"))
+                plain = train_binary(gram, y, 2.0, spec)
+                for given in (np.asfortranarray(gram), gram.tolist()):
+                    assert_same_solve(train_binary(given, y, 2.0, spec), plain)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_c_rejected(self, c):
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ConfigError, match="finite"):
-            train_binary(x, np.array([-1.0, 1.0]), c, KernelSpec("linear"))
-
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
-    def test_bad_tolerance_refused(self, tol):
-        """A tolerance that is not positive and finite is a configuration
-        error, not a solve that stalls or stops at once."""
-        x, y = np.array([[0.0], [1.0]]), np.array([-1.0, 1.0])
-        with pytest.raises(ConfigError, match="tol must be positive and finite"):
-            train_binary(x, y, 1.0, KernelSpec("linear"), tol=tol)
-
-    def test_negative_iteration_cap_refused(self):
-        x, y = np.array([[0.0], [1.0]]), np.array([-1.0, 1.0])
-        with pytest.raises(ConfigError, match="max_iter must be >= 0"):
-            train_binary(x, y, 1.0, KernelSpec("linear"), max_iter=-1)
-        # 0 still picks the default cap
-        assert train_binary(x, y, 1.0, KernelSpec("linear"), max_iter=0).solve.iterations == 1
+            train_binary(np.eye(2), np.array([-1.0, 1.0]), c, KernelSpec("linear"))
 
     def test_bias_mean_bit_identical_to_numpy(self):
         """The bias tail averages the free values as np.mean does, bit
@@ -458,9 +433,9 @@ class TestBinarySvm:
         y = np.array([-1.0, 1.0, 1.0])
         spec = KernelSpec("linear")
         with pytest.raises(ConfigError):
-            train_binary(x, y, 1.0, spec, gram=kernel_matrix(x[:2], x[:2], spec))
+            train_binary(kernel_matrix(x[:2], x[:2], spec), y, 1.0, spec)
         with pytest.raises(ConfigError):
-            train_binary(x, y, 1.0, spec, gram=kernel_matrix(x, x[:2], spec))
+            train_binary(kernel_matrix(x, x[:2], spec), y, 1.0, spec)
 
 
 def three_blobs(n=12, seed=42):
@@ -575,12 +550,12 @@ class TestSolveReuse:
                 else KernelSpec("gaussian", sigma=float(10.0 ** rng.uniform(-0.5, 1.0)))
             )
             gram = kernel_matrix(x, x, spec)
-            amax = train_binary(x, y, 1e6, spec, gram=gram).solve.amax
+            amax = train_binary(gram, y, 1e6, spec).solve.amax
             grid = EDGE_COSTS + [amax * f for f in (1 - 1e-9, 1 + 1e-9, 1 - 1e-15, 1 + 1e-15, 1.0)]
             for walk in (sorted(grid), list(rng.permutation(grid)), sorted(grid + grid[::3])):
                 prior = None
                 for c in walk:
-                    got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
+                    got = solve_or_none(gram, y, c, spec, prior=prior)
                     if prior is not None and prior.solve.holds_at(prior.c, c):
                         assert got.alpha_signed is prior.alpha_signed
                         assert not got.alpha_signed.flags.writeable
@@ -590,7 +565,7 @@ class TestSolveReuse:
                     else:
                         if prior is not None and got is not None:
                             assert got.alpha_signed is not prior.alpha_signed
-                        assert_same_solve(got, solve_or_none(x, y, c, spec, gram=gram))
+                        assert_same_solve(got, solve_or_none(gram, y, c, spec))
                         if got is not None:
                             # the whole alpha of this solve, for the machines reusing it
                             alpha = svm_module._smo(gram, y, c, 1e-3, 10**6)[0]
@@ -612,16 +587,16 @@ class TestSolveReuse:
             spec = KernelSpec("linear")
             gram = kernel_matrix(x, x, spec) * 10.0 ** rng.uniform(8.0, 10.0)
             for c_prior in (1.0, 300.0):
-                prior = solve_or_none(x, y, c_prior, spec, gram=gram)
+                prior = solve_or_none(gram, y, c_prior, spec)
                 if prior is None:
                     continue
                 alpha = svm_module._smo(gram, y, c_prior, 1e-3, 10**6)[0]
                 for c in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4):
-                    got = solve_or_none(x, y, c, spec, gram=gram, prior=prior)
+                    got = solve_or_none(gram, y, c, spec, prior=prior)
                     if got is not None and got.alpha_signed is prior.alpha_signed:
                         assert_meets_stopping_rule(got, alpha, gram, y)
                     else:
-                        assert_same_solve(got, solve_or_none(x, y, c, spec, gram=gram))
+                        assert_same_solve(got, solve_or_none(gram, y, c, spec))
                     # count the cases where only the atol test stands
                     # between the prior and a support that is wrong at c
                     if prior.solve.amax < min(c - atol_of(c), c_prior - atol_of(c_prior)):
@@ -638,10 +613,10 @@ class TestSolveReuse:
         x, y = separable(rng, 8)
         spec = KernelSpec("linear")
         gram = kernel_matrix(x, x, spec)
-        prior = train_binary(x, y, 1e-13, spec, gram=gram)
+        prior = train_binary(gram, y, 1e-13, spec)
         assert prior.solve.iterations == 0 and prior.alpha_signed.size == 0
-        got = train_binary(x, y, 1.0, spec, gram=gram, prior=prior)
-        assert_same_solve(got, train_binary(x, y, 1.0, spec, gram=gram))
+        got = train_binary(gram, y, 1.0, spec, prior=prior)
+        assert_same_solve(got, train_binary(gram, y, 1.0, spec))
         assert got.alpha_signed.size > 0
 
     @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
@@ -655,7 +630,7 @@ class TestSolveReuse:
         y = np.array([1.0, -1.0])
 
         def solve(c):
-            return train_binary(None, y, c, KernelSpec("linear"), gram=np.eye(2)).solve
+            return train_binary(np.eye(2), y, c, KernelSpec("linear")).solve
 
         free = solve(2.0)
         assert (free.amax, free.amin) == (1.0, 1.0)
@@ -675,26 +650,18 @@ class TestSolveReuse:
         x, y = separable(rng, 10)
         spec = KernelSpec("linear")
         gram = kernel_matrix(x, x, spec)
-        prior = train_binary(x, y, 1e3, spec, gram=gram)
-        # the solve never reads x, so other rows (or none) with the same
-        # gram object are the same problem
-        for rows in (x, x.copy(), None):
-            got = train_binary(rows, y, 2e3, spec, gram=gram, prior=prior)
-            assert got.alpha_signed is prior.alpha_signed
-            assert_same_solve(got, train_binary(x, y, 2e3, spec, gram=gram))
-        others = [
-            (x, y, dict(gram=gram.copy())),
-            (x, y, dict()),
-            (x, y, dict(gram=gram, tol=1e-4)),
-            (x, y, dict(gram=gram, max_iter=10**6)),
-            (x, -y, dict(gram=gram)),
-        ]
-        for rows, labels, kwargs in others:
-            got = train_binary(rows, labels, 2e3, spec, prior=prior, **kwargs)
+        prior = train_binary(gram, y, 1e3, spec)
+        got = train_binary(gram, y, 2e3, spec, prior=prior)
+        assert got.alpha_signed is prior.alpha_signed
+        assert_same_solve(got, train_binary(gram, y, 2e3, spec))
+        # an equal Gram in another object is another problem
+        others = [(gram.copy(), y), (kernel_matrix(x, x, spec), y), (gram, -y)]
+        for other, labels in others:
+            got = train_binary(other, labels, 2e3, spec, prior=prior)
             assert got.alpha_signed is not prior.alpha_signed
-            assert_same_solve(got, train_binary(rows, labels, 2e3, spec, **kwargs))
+            assert_same_solve(got, train_binary(other, labels, 2e3, spec))
         other_spec = KernelSpec("gaussian", sigma=1.0)
-        got = train_binary(x, y, 2e3, other_spec, gram=gram, prior=prior)
+        got = train_binary(gram, y, 2e3, other_spec, prior=prior)
         assert got.alpha_signed is not prior.alpha_signed
 
     def test_reuse_checks_only_the_new_cost(self, monkeypatch):
@@ -705,29 +672,32 @@ class TestSolveReuse:
         x, y = separable(rng, 10)
         spec = KernelSpec("linear")
         gram = kernel_matrix(x, x, spec)
-        prior = train_binary(x, y, 1e3, spec, gram=gram)
+        prior = train_binary(gram, y, 1e3, spec)
         counted = []
         real = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: counted.append(1) or real(a))
-        got = train_binary(x, y, 2e3, spec, gram=gram, prior=prior)
+        got = train_binary(gram, y, 2e3, spec, prior=prior)
         assert got.alpha_signed is prior.alpha_signed and counted == []
-        assert_same_solve(got, train_binary(x, y, 2e3, spec, gram=gram))
+        assert_same_solve(got, train_binary(gram, y, 2e3, spec))
         assert len(counted) == 2
         for c in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="C must be"):
-                train_binary(x, y, c, spec, gram=gram, prior=prior)
+                train_binary(gram, y, c, spec, prior=prior)
 
     def test_prior_without_gram_not_reused(self):
-        """A prior solved on its own kernel matrix holds a dead reference
-        to it, which never matches a call that passes no gram either."""
+        """A prior solved on a kernel matrix that is gone holds a dead
+        reference to it, which matches no later Gram, nor a missing one."""
         rng = np.random.default_rng(13)
         x, y = separable(rng, 10)
         spec = KernelSpec("linear")
-        prior = train_binary(x, y, 1e3, spec)
+        prior = train_binary(kernel_matrix(x, x, spec), y, 1e3, spec)
         assert prior.solve.gram() is None
-        got = train_binary(x, y, 2e3, spec, prior=prior)
+        gram = kernel_matrix(x, x, spec)
+        got = train_binary(gram, y, 2e3, spec, prior=prior)
         assert got.alpha_signed is not prior.alpha_signed
-        assert_same_solve(got, train_binary(x, y, 2e3, spec))
+        assert_same_solve(got, train_binary(gram, y, 2e3, spec))
+        with pytest.raises(ConfigError, match="gram has shape"):
+            train_binary(None, y, 2e3, spec, prior=prior)
 
 
 def unit_machine(row):
@@ -905,7 +875,7 @@ class TestOneVsOne:
             for (a, b), m in model.machines.items():
                 rows = np.flatnonzero(np.isin(labels, [model.classes[a], model.classes[b]]))
                 y = np.where(labels[rows] == model.classes[a], 1.0, -1.0)
-                alone = train_binary(x[rows], y, c, spec, gram=gram[np.ix_(rows, rows)])
+                alone = train_binary(gram[np.ix_(rows, rows)], y, c, spec)
                 kept = rows[alone.support]
                 assert m.alpha_signed.tobytes() == alone.alpha_signed.tobytes()
                 assert np.all(np.diff(m.support) > 0)
@@ -1082,8 +1052,7 @@ class TestModelSelect:
         block handed to _decision is the slice of kernel_matrix over the
         learning half, bit for bit, at every sigma of the default grid.
         A pair's rows within the half are those _class_pairs yielded with
-        the label array that train_binary gets; no feature rows are
-        passed."""
+        the label array that train_binary gets."""
         x, labels = four_blobs()
         events = []
         real_pairs, real_base, real_train, real_decision = (
@@ -1100,9 +1069,9 @@ class TestModelSelect:
             events.append(("base", a, b))
             return real_base(a, b, kind)
 
-        def train(xr, y, c, spec, **kwargs):
-            events.append(("gram", xr, y, spec, kwargs["gram"]))
-            return real_train(xr, y, c, spec, **kwargs)
+        def train(gram, y, c, spec, **kwargs):
+            events.append(("gram", gram, y, spec))
+            return real_train(gram, y, c, spec, **kwargs)
 
         def decision(machine, k):
             events.append(("cross", k))
@@ -1129,8 +1098,7 @@ class TestModelSelect:
                 else:
                     x_val = b
             elif kind == "gram":
-                xr, y, spec, gram = args
-                assert xr is None
+                gram, y, spec = args
                 (rows,) = [rows for _, rows, pair_y in split[-6:] if pair_y is y]
                 want = kernel_matrix(x_learn, x_learn, spec)[np.ix_(rows, rows)]
                 assert gram.tobytes() == want.tobytes()
