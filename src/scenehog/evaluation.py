@@ -17,7 +17,7 @@ import numpy as np
 from . import svm
 from .errors import ConfigError, DataError, FormatError, ProtocolError
 from .metrics import column_normalize, confusion_codes, map_score_codes
-from .util import atomic_write_text, class_codes, rng_from, split_by_class
+from .util import atomic_write_text, class_codes, read_text, rng_from, split_by_class
 
 __all__ = [
     "EvalReport",
@@ -266,13 +266,21 @@ def _parse_cell(path: Path, kind: type, text: str):
 
 
 def read_report(path: str | Path) -> EvalReport:
+    """Read a report written by write_report.
+
+    Raises FormatError unless the file is UTF-8 text, each row sits in
+    its place, the kernel is linear or gaussian, each per split MAP lies
+    in [0, 1], each C is positive and finite, each sigma is NaN under
+    the linear kernel and positive and finite under the gaussian one,
+    and no confusion count is negative.
+    """
     path = Path(path)
     header: dict[str, str] = {}
     per_split: list[list[float]] = []
     confusion: list[list[int]] = []
     row_names: list[str] = []
     section = "header"
-    for raw in path.read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -310,15 +318,25 @@ def read_report(path: str | Path) -> EvalReport:
     missing = [k for k in required if k not in header]
     if missing:
         raise FormatError(f"{path}: missing header keys {missing}")
+    kernel = header["kernel"]
+    if kernel not in ("linear", "gaussian"):
+        raise FormatError(f"{path}: unknown kernel {kernel!r}")
     classes = header["classes"].split(",")
     if any(len(row) != len(classes) for row in confusion) or len(confusion) != len(classes):
         raise FormatError(f"{path}: confusion matrix is not {len(classes)}x{len(classes)}")
     for k, (name, want) in enumerate(zip(row_names, classes)):
         if name != want:
             raise FormatError(f"{path}: confusion row {k} is named {name!r}, not {want!r}")
+    if any(v < 0 for row in confusion for v in row):
+        raise FormatError(f"{path}: negative confusion count")
     table = np.asarray(per_split, dtype=np.float64).reshape(len(per_split), 3)
-    if not np.all(np.isfinite(table[:, :2])):
-        raise FormatError(f"{path}: non-finite per_split map or c")
+    maps, cs, sigmas = table.T
+    if not np.all((0.0 <= maps) & (maps <= 1.0)):
+        raise FormatError(f"{path}: per_split map outside [0, 1]")
+    if not np.all((0.0 < cs) & (cs < np.inf)):
+        raise FormatError(f"{path}: per_split c not positive and finite")
+    if not np.all(np.isnan(sigmas) if kernel == "linear" else (0.0 < sigmas) & (sigmas < np.inf)):
+        raise FormatError(f"{path}: per_split sigma does not fit the {kernel} kernel")
     params = {
         k[len("param."):]: v for k, v in header.items() if k.startswith("param.")
     }
@@ -328,11 +346,11 @@ def read_report(path: str | Path) -> EvalReport:
         n_splits=_parse_cell(path, int, header["n_splits"]),
         n_train=_parse_cell(path, int, header["n_train"]),
         n_test=_parse_cell(path, int, header["n_test"]),
-        kernel_kind=header["kernel"],
-        per_split_map=table[:, 0],
+        kernel_kind=kernel,
+        per_split_map=maps,
         confusion_sum=np.asarray(confusion, dtype=np.int64),
-        chosen_c=table[:, 1],
-        chosen_sigma=table[:, 2],
+        chosen_c=cs,
+        chosen_sigma=sigmas,
         params=params,
     )
     for key in ("n_splits", "n_train", "n_test"):

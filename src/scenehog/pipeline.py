@@ -36,7 +36,7 @@ from .pooling import FeatureVector, PoolConfig, feature_dim, pool
 from .store import DatasetScan, write_pgm
 from .svm import KernelSpec, default_sigma_grid
 from .tfr import CqtConfig, cqt, mean_filter, to_image
-from .util import check_threads, parallel_map
+from .util import check_threads, parallel_map, read_text
 
 __all__ = [
     "RunConfig",
@@ -266,7 +266,7 @@ def parse_config_file(path: str | Path | None, overrides: list[str] | None = Non
     """
     cfg = RunConfig()
     if path is not None:
-        text = Path(path).read_text()
+        text = read_text(Path(path))
         pairs = []
         for i, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

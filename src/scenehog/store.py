@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import AudioClip, read_wav, wav_length
 from .errors import DatasetError, FormatError
-from .util import atomic_write_bytes, atomic_write_text
+from .util import atomic_write_bytes, atomic_write_text, read_text
 
 __all__ = [
     "write_features",
@@ -92,7 +92,10 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
     n_rows, n_dims = struct.unpack_from("<QQ", data, 8)
     if n_dims == 0:
         raise FormatError(f"{path}: feature file has no columns")
-    config_hash = data[24:24 + _HASH_BYTES].rstrip(b"\x00").decode("ascii")
+    try:
+        config_hash = data[24:24 + _HASH_BYTES].rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: extraction hash is not ASCII") from None
     expected = n_rows * n_dims * 4
     payload_bytes = len(data) - _HEADER_BYTES
     if payload_bytes != expected:
@@ -107,7 +110,7 @@ def read_features(path: str | Path) -> tuple[np.ndarray, list[str], str]:
     side = labels_path(path)
     if not side.exists():
         raise FormatError(f"{path}: missing label sidecar {side}")
-    labels = side.read_text().splitlines()
+    labels = read_text(side).splitlines()
     if len(labels) != n_rows:
         raise FormatError(
             f"{side}: {len(labels)} labels for {n_rows} feature rows"
@@ -232,7 +235,7 @@ class SplitManifest:
 
     @classmethod
     def read(cls, path: str | Path) -> "SplitManifest":
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(read_text(Path(path)))
 
 
 # ---------------------------------------------------------------------------

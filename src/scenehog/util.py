@@ -1,6 +1,6 @@
 """Small shared helpers: derived random streams, class indices of
-labels, a stratified index split, atomic file writes and an order
-preserving parallel map."""
+labels, a stratified index split, UTF-8 text reads, atomic file writes
+and an order preserving parallel map."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 __all__ = [
-    "rng_from", "class_codes", "split_by_class", "atomic_write_bytes", "atomic_write_text",
-    "check_threads", "usable_cores", "parallel_map",
+    "rng_from", "class_codes", "split_by_class", "read_text", "atomic_write_bytes",
+    "atomic_write_text", "check_threads", "usable_cores", "parallel_map",
 ]
 
 
@@ -74,6 +74,14 @@ def atomic_write_bytes(path: Path, parts) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a file; FormatError naming it if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
 
 def atomic_write_text(path: Path, text: str) -> None:

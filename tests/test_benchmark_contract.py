@@ -9,6 +9,7 @@ library on their side of that contract.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ MODES = {
 def load_perfbench(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -101,8 +103,12 @@ def test_rebound_stage_functions_see_every_call():
 def test_rebound_evaluation_functions_see_every_call():
     """run_protocol and the SVM layer look the split and SVM functions up
     at call time, so one run_experiment makes every evaluation-side span
-    perfbench requires record calls, and each split is drawn once."""
+    perfbench requires record calls, and each split is drawn once.
+    svm.train_binary records the count perfbench checks, splits x
+    (|C| |sigma| n_resample + 1) x pairs on the default grids, for either
+    kernel."""
     tracer, layers = load_perfbench("tracer"), load_perfbench("layers")
+    workloads = load_perfbench("workloads")
     names = [name for name in layers.REQUIRED if name.startswith(("evaluation.", "svm."))]
     assert len(names) == 7
     originals = {name: tracer._lookup(name) for name in names}
@@ -111,12 +117,19 @@ def test_rebound_evaluation_functions_see_every_call():
         rng = np.random.default_rng(0)
         labels = np.repeat(["a", "b", "c"], 6)
         x = rng.normal(size=(labels.size, 4)) + np.repeat(np.eye(3, 4) * 3.0, 6, axis=0)
-        cfg = parse_config_file(None, ["n_splits=3", "train_frac=0.5", "n_resample=2"])
-        run_experiment(x, labels, cfg)
-        calls = {name: c.calls for name, c in counters.items()}
-        assert all(calls.values()), calls
-        assert calls["evaluation.stratified_split"] == cfg.n_splits
-        assert calls["evaluation.run_protocol"] == 1
+        for kernel, n_sigma in (("linear", 1), ("gaussian", workloads.N_SIGMA)):
+            for counter in counters.values():
+                counter.calls = 0
+            cfg = parse_config_file(
+                None, ["n_splits=3", "train_frac=0.5", "n_resample=2", f"kernel={kernel}"]
+            )
+            run_experiment(x, labels, cfg)
+            calls = {name: c.calls for name, c in counters.items()}
+            assert all(calls.values()), calls
+            assert calls["evaluation.stratified_split"] == cfg.n_splits
+            assert calls["evaluation.run_protocol"] == 1
+            per_split = workloads.N_C * n_sigma * cfg.n_resample + 1
+            assert calls["svm.train_binary"] == cfg.n_splits * per_split * 3, kernel  # 3 pairs
     finally:
         for name, original in originals.items():
             tracer._rebind(tracer._lookup(name), original)

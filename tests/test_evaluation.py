@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestRunProtocol:
         train_bytes = report.n_train * x.shape[1] * x.itemsize
         assert peak < 2.5 * train_bytes
 
-    def test_gaussian_kernel_path(self):
+    def test_gaussian_kernel_path(self, tmp_path):
         x, labels = blob_data(n_per_class=8)
         report = run_protocol(
             x, labels, n_splits=2, seed=3, kernel_kind="gaussian",
@@ -158,6 +159,9 @@ class TestRunProtocol:
         )
         assert report.kernel_kind == "gaussian"
         assert np.all(np.isfinite(report.chosen_sigma))
+        write_report(tmp_path / "report.txt", report)
+        loaded = read_report(tmp_path / "report.txt")
+        assert loaded.chosen_sigma.tobytes() == report.chosen_sigma.tobytes()
 
     def test_linear_kernel_records_nan_sigma(self):
         x, labels = blob_data(n_per_class=8)
@@ -335,10 +339,19 @@ class TestReportFiles:
             ("\nhi,3,", "\nhi,3.5,"),  # non-integer confusion cell
             ("\n0,", "\n7,"),  # split 0's row labelled split 7
             ("\nlo,", "\nzzz,"),  # the lo row of the confusion matrix named zzz
+            ("\n0,1,", "\n0,5.0,"),  # a MAP above 1
+            ("\n0,1,[^,]*,", "\n0,1,0,"),  # a chosen C of 0
+            ("\n0,1,[^,]*,", "\n0,1,-1,"),  # a negative chosen C
+            (",nan\n", ",-3\n"),  # a sigma under the linear kernel
+            ("\nkernel=linear", "\nkernel=gaussian"),  # NaN sigmas under the gaussian one
+            ("\nkernel=linear", "\nkernel=poly"),  # no such kernel
+            ("\nhi,3,", "\nhi,-5,"),  # a negative confusion count
         ],
         ids=[
             "short-row", "non-numeric-map", "nan-map", "non-integer-count",
-            "split-out-of-place", "confusion-row-of-another-class",
+            "split-out-of-place", "confusion-row-of-another-class", "map-above-one",
+            "zero-c", "negative-c", "negative-sigma", "gaussian-nan-sigma", "unknown-kernel",
+            "negative-count",
         ],
     )
     def test_malformed_rows_exit_as_data_errors(self, tmp_path, capsys, old, new):
@@ -346,8 +359,8 @@ class TestReportFiles:
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
         write_report(good, report)
         text = good.read_text()
-        assert old in text
-        bad.write_text(text.replace(old, new, 1))
+        assert re.search(old, text)
+        bad.write_text(re.sub(old, new, text, count=1))
         with pytest.raises(FormatError):
             read_report(bad)
         rc = main(["compare", "--report-a", str(good), "--report-b", str(bad)])

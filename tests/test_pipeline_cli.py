@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -453,7 +455,10 @@ def assert_manifests_are_the_splits(directory, report, cfg, labels, draw):
 
 @pytest.fixture(scope="module")
 def toy_workspace(tmp_path_factory):
-    """One CLI toygen/extract/experiment flow shared by the CLI tests."""
+    """A config and the toy WAVs (data/), features (toy.features) and
+    report (report.txt) that the CLI's toygen, extract and experiment
+    make under it, built once and shared by the CLI tests, so each of
+    them also runs alone."""
     root = tmp_path_factory.mktemp("cliflow")
     cfg_file = root / "run.cfg"
     cfg_file.write_text(
@@ -466,19 +471,29 @@ def toy_workspace(tmp_path_factory):
         "n_splits=3\n"
         "fixed_train_count=4\n"
     )
+    flow = [
+        ["toygen", "--out", root / "data"],
+        ["extract", "--data", root / "data", "--out", root / "toy.features"],
+        ["experiment", "--features", root / "toy.features", "--report", root / "report.txt"],
+    ]
+    for command, *argv in flow:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(cfg_file), *map(str, argv)]) == 0
     return root, cfg_file
 
 
 class TestCli:
-    def test_toygen(self, toy_workspace, capsys):
+    def test_toygen(self, toy_workspace, capsys, tmp_path):
         root, cfg_file = toy_workspace
-        data = root / "data"
+        data = tmp_path / "data"
         rc, table, _ = run_cli(capsys, "toygen", "--config", cfg_file, "--out", data)
         assert rc == 0
         assert table["clips"] == "10"
         wavs = sorted(p.relative_to(data).as_posix() for p in data.rglob("*.wav"))
         assert len(wavs) == 10
         assert wavs[0].startswith("neg/") and wavs[-1].startswith("pos/")
+        for wav in wavs:
+            assert (data / wav).read_bytes() == (root / "data" / wav).read_bytes()
 
     def test_toygen_refuses_nonempty_out(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace
@@ -486,9 +501,9 @@ class TestCli:
         assert rc == 3
         assert "force" in err
 
-    def test_extract(self, toy_workspace, capsys):
+    def test_extract(self, toy_workspace, capsys, tmp_path):
         root, cfg_file = toy_workspace
-        feat = root / "toy.features"
+        feat = tmp_path / "toy.features"
         rc, table, _ = run_cli(
             capsys, "extract", "--config", cfg_file,
             "--data", root / "data", "--out", feat,
@@ -500,6 +515,7 @@ class TestCli:
         assert x.shape == (10, 384)
         assert sorted(set(labels)) == ["neg", "pos"]
         assert len(tag) == 40
+        assert feat.read_bytes() == (root / "toy.features").read_bytes()
 
     def test_extract_threads_reproduce_bytes(self, toy_workspace, capsys):
         root, cfg_file = toy_workspace
@@ -601,7 +617,7 @@ class TestCli:
             got = dump / f"{clip.source_id}.pgm"
             assert got.read_bytes() == want.read_bytes()
 
-    def test_experiment(self, toy_workspace, capsys, monkeypatch):
+    def test_experiment(self, toy_workspace, capsys, monkeypatch, tmp_path):
         """Each split is drawn once, by the run itself, and manifest i
         lists the rows of the run's split i.  The manifests are the bytes
         that drawing split i again from the config gives, under the
@@ -623,11 +639,11 @@ class TestCli:
         monkeypatch.setattr(
             cli, "run_experiment", lambda *a: runs.append(real_run(*a)) or runs[-1]
         )
-        report_path = root / "report.txt"
+        report_path = tmp_path / "report.txt"
         rc, table, _ = run_cli(
             capsys, "experiment", "--config", cfg_file,
             "--features", root / "toy.features", "--report", report_path,
-            "--manifest-dir", root / "splits", "--heatmap", root / "confusion.pgm",
+            "--manifest-dir", tmp_path / "splits", "--heatmap", tmp_path / "confusion.pgm",
         )
         assert rc == 0
         assert drawn == [0, 1, 2]
@@ -637,24 +653,25 @@ class TestCli:
         assert report.n_splits == 3
         assert 0.0 <= report.map_mean <= 1.0
         assert float(table["map_mean"]) == pytest.approx(report.map_mean, abs=1e-6)
-        assert (root / "confusion.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+        assert report_path.read_bytes() == (root / "report.txt").read_bytes()
+        assert (tmp_path / "confusion.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
         _, labels, _ = read_features(root / "toy.features")
         assert_manifests_are_the_splits(
-            root / "splits", runs[0], parse_config_file(cfg_file, []), labels, real_split
+            tmp_path / "splits", runs[0], parse_config_file(cfg_file, []), labels, real_split
         )
 
         drawn.clear()
         frac = ["fixed_train_count=0", "train_frac=0.6"]
         rc, table, _ = run_cli(
             capsys, "experiment", "--config", cfg_file, *(a for s in frac for a in ("--set", s)),
-            "--features", root / "toy.features", "--report", root / "frac_report.txt",
-            "--manifest-dir", root / "frac_splits",
+            "--features", root / "toy.features", "--report", tmp_path / "frac_report.txt",
+            "--manifest-dir", tmp_path / "frac_splits",
         )
         assert rc == 0
         assert drawn == [0, 1, 2]
         assert table["n_train"] == "6" and table["n_test"] == "4"
         assert_manifests_are_the_splits(
-            root / "frac_splits", runs[1], parse_config_file(cfg_file, frac), labels, real_split
+            tmp_path / "frac_splits", runs[1], parse_config_file(cfg_file, frac), labels, real_split
         )
 
     @pytest.mark.parametrize(
@@ -996,6 +1013,37 @@ class TestCli:
         assert err.startswith("scenehog: data error: ")
         assert str(bad) in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("reader", ["feature-hash", "labels", "report", "config"])
+    def test_undecodable_bytes_exit_as_data_errors(self, toy_workspace, capsys, tmp_path, reader):
+        """A byte that a reader cannot decode exits 3 with one line naming
+        the file, not a traceback and exit 4."""
+        root, cfg_file = toy_workspace
+        feat, config = tmp_path / "toy.features", tmp_path / "run.cfg"
+        copies = {
+            "feature-hash": (feat, root / "toy.features"),
+            "labels": (store.labels_path(feat), store.labels_path(root / "toy.features")),
+            "report": (tmp_path / "report.txt", root / "report.txt"),
+            "config": (config, cfg_file),
+        }
+        for copy, source in copies.values():
+            copy.write_bytes(source.read_bytes())
+        bad = copies[reader][0]
+        data = bytearray(bad.read_bytes())
+        # the first byte of the extraction hash, of a class name, of a line
+        data[24 if reader == "feature-hash" else 0] = 0xFF
+        bad.write_bytes(data)
+        if reader == "report":
+            argv = ["compare", "--report-a", bad, "--report-b", root / "report.txt"]
+        else:
+            argv = ["experiment", "--config", config, "--features", feat,
+                    "--report", tmp_path / "out.txt"]
+        rc, table, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert err.startswith("scenehog: data error: ")
+        assert str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+        assert table == {}
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
