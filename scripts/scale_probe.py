@@ -8,11 +8,12 @@ on it: linear kernel, ``train_frac`` 0.8, default C grid and five
 resampled halves.  ``split_s`` is the median of SPLIT_RUNS runs of that
 split, since one run's time spreads too widely to show a change of the
 solver.  One more run of the split counts the solver's work by wrapping
-``svm.train_binary``: ``solves`` machines solved afresh, ``reused``
-machines that returned their prior's solution (``alpha_signed`` is the
-prior's), ``smo_steps``, the SMO steps of the fresh solves, and
-``smo_s``, the seconds spent inside the ``svm.train_binary`` calls that
-solved afresh.  ``smo_s`` reads the solver's speed without the rest of
+``svm.train_binary`` and ``svm._smo``: ``solves`` machines solved
+afresh (``_smo`` ran inside their ``train_binary`` call), ``reused``
+machines for which it did not run (their prior's solution as it is, or
+scaled to the new C), ``smo_steps``, the SMO steps of the fresh solves,
+and ``smo_s``, the seconds spent inside the ``svm.train_binary`` calls
+that solved afresh.  ``smo_s`` reads the solver's speed without the rest of
 the split, whose time spreads more from run to run.
 Features go through float32 first, as they do on
 their way through a feature file to ``scenehog experiment``.  It then
@@ -85,28 +86,35 @@ def cli_rss_mb(*args: str) -> float:
 
 def solver_work(x: np.ndarray, labels) -> tuple[int, int, int, float]:
     """(solves, reused, smo_steps, smo_s) of one split, counted and
-    timed by wrapping svm.train_binary while it runs."""
+    timed by wrapping svm.train_binary and svm._smo while it runs: a
+    machine is solved afresh when _smo ran inside its train_binary call."""
     work = [0, 0, 0, 0.0]
-    real = svm.train_binary
+    real_train, real_smo = svm.train_binary, svm._smo
+    steps = []
+
+    def smo(*args):
+        solved = real_smo(*args)
+        steps.append(solved[2])
+        return solved
 
     def counted(*args, **kwargs):
+        steps.clear()
         start = time.perf_counter()
-        machine = real(*args, **kwargs)
+        machine = real_train(*args, **kwargs)
         took = time.perf_counter() - start
-        prior = kwargs.get("prior")
-        if prior is not None and machine.alpha_signed is prior.alpha_signed:
-            work[1] += 1
-        else:
+        if steps:
             work[0] += 1
-            work[2] += machine.solve.iterations
+            work[2] += steps[0]
             work[3] += took
+        else:
+            work[1] += 1
         return machine
 
-    svm.train_binary = counted
+    svm.train_binary, svm._smo = counted, smo
     try:
         run_protocol(x, labels, n_splits=1, seed=SEED, train_frac=0.8)
     finally:
-        svm.train_binary = real
+        svm.train_binary, svm._smo = real_train, real_smo
     return tuple(work)
 
 

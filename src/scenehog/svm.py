@@ -24,11 +24,14 @@ Every machine stops at the same rule, m - M <= TOL = 1e-3 (LIBSVM's
 default).  train_binary takes a machine's Gram, never its feature
 rows, so callers slice each pair's block and copy no pair's rows.
 train_binary(prior=) returns a prior machine's solution at a new C
-without solving when the alpha that solve returned already meets the
-stopping rule there (Fan, Chen and Lin, JMLR 2005; _Solve.holds_at);
-model selection walks each pair's C values in ascending order to use
-it.  A prior is reused on the key (Gram object, label bytes, kernel),
-which train_binary tests before anything else.
+without solving in two cases, each checked against the stopping rule
+at that C (Fan, Chen and Lin, JMLR 2005): the alpha that solve
+returned as it is (_Solve.holds_at), or, when every alpha it returned
+sits on a bound, that alpha scaled to the new C (_scaled), since with
+no free alpha the solution is linear in C.  Model selection walks each
+pair's C values in ascending order to use them.  A prior is reused on
+the key (Gram object, label bytes, kernel), which train_binary tests
+before anything else.
 
 The dual problem solved for each binary machine is
 
@@ -235,7 +238,10 @@ class _Solve(NamedTuple):
     gram is a weak reference to the kernel matrix, so a machine does not
     keep it alive; labels holds the bytes of y.  atol is _atol of the
     solve's C, amax the largest alpha and amin the smallest above atol
-    (inf if none).
+    (inf if none).  bound says that every returned alpha is exactly 0.0
+    or exactly C, which _scaled needs.  A machine that reuses a solve
+    carries its record, with atol, amax and amin at the machine's C when
+    the alpha was scaled there.
     """
 
     gram: weakref.ref
@@ -244,6 +250,7 @@ class _Solve(NamedTuple):
     atol: float
     amax: float
     amin: float
+    bound: bool
 
     def holds_at(self, c_prior: float, c: float) -> bool:
         """Whether the alpha returned at c_prior meets the stopping rule at c.
@@ -463,14 +470,18 @@ def train_binary(
     prior is a machine this function trained at another C on the same,
     unmodified gram object, with the same label bytes and kernel.  Those
     arguments were checked when the prior was solved, so the prior is
-    tested first and only c is checked again.  If c is valid and the
-    prior's returned alpha meets the stopping rule at c as it is
-    (_Solve.holds_at), the machine shares the prior's alpha, bias and
-    support indices with c as its cost, and _smo does not run: a
-    solution at c within TOL, though not always the bits of a solve from
-    alpha = 0 at c.  Any other prior is ignored.  A solved machine's
-    support and alpha_signed arrays are read-only, so the machines that
-    share them cannot change each other.
+    tested first and only c is checked again.  If c is valid with room
+    (0 < c - atol), _smo does not run when either of two reuses meets the
+    stopping rule at c:
+      - the prior's returned alpha as it is (_Solve.holds_at): the
+        machine shares the prior's alpha, bias and support indices;
+      - a bound-only prior (every alpha 0 or C) scaled to c (_scaled):
+        the machine shares the prior's support indices, with alpha c
+        there and a new bias.
+    Either is a solution at c within TOL, though not always the bits of
+    a solve from alpha = 0 at c.  Any other prior is ignored.  A
+    machine's support and alpha_signed arrays are read-only, so the
+    machines that share them cannot change each other.
     """
     # a prior solved afresh on this very gram object and these label
     # bytes passed the checks below then, so only c is left to check
@@ -481,10 +492,14 @@ def train_binary(
         and solve.gram() is gram
         and (prior.kernel is kernel or prior.kernel == kernel)
         and solve.labels == np.asarray(y, dtype=np.float64).tobytes()
-        and 0.0 < c < math.inf
-        and solve.holds_at(prior.c, c)
+        and 0.0 < c - _atol(c) < math.inf
     ):
-        return BinarySvm(prior.support, prior.alpha_signed, prior.bias, kernel, c, solve)
+        if solve.holds_at(prior.c, c):
+            return BinarySvm(prior.support, prior.alpha_signed, prior.bias, kernel, c, solve)
+        if solve.bound:
+            scaled = _scaled(prior, gram, np.asarray(y, dtype=np.float64).ravel(), c)
+            if scaled is not None:
+                return scaled
 
     y = np.asarray(y, dtype=np.float64).ravel()
     n_pos = np.count_nonzero(y == 1.0)
@@ -506,12 +521,43 @@ def train_binary(
     support = [t for t, a_t in enumerate(alpha) if a_t > atol]
     signed = [alpha[t] * ys[t] for t in support]
     amax, amin = max(alpha), min(map(abs, signed), default=math.inf)
+    bound = alpha.count(0.0) + alpha.count(c) == len(alpha)
     support, alpha_signed = np.array(support, dtype=np.intp), np.array(signed, dtype=np.float64)
     # read-only from the start, so machines that reuse this solve share them
     support.flags.writeable = alpha_signed.flags.writeable = False
     return BinarySvm(
         support, alpha_signed, bias, kernel, c,
-        _Solve(weakref.ref(k), y.tobytes(), it, atol, amax, amin),
+        _Solve(weakref.ref(k), y.tobytes(), it, atol, amax, amin, bound),
+    )
+
+
+def _scaled(prior: BinarySvm, gram: np.ndarray, y: np.ndarray, c: float) -> BinarySvm | None:
+    """The machine whose alpha is c on prior's support and 0 elsewhere,
+    or None when that alpha does not meet the stopping rule at c, which
+    has room (0 < c - atol).
+
+    prior's alpha is bound-only, so this alpha is (c / prior.c) times it
+    (with no free alpha the solution is linear in C; Hastie, Rosset,
+    Tibshirani and Zhu, JMLR 2004), and the support holds as many rows
+    of each label.  Its violation vector f = y - K (alpha y) comes from
+    the support's columns of gram, not from the prior's f scaled by
+    c / prior.c, which would scale that f's rounding as well.  An alpha
+    at 0 may only rise and one at c only fall, so neither mask is empty
+    and none is free: m - M <= TOL is the stopping rule, and the bias is
+    the midpoint of the bracket, as _bias gives it.
+    """
+    alpha_signed = np.copysign(c, prior.alpha_signed)
+    f = y - gram.take(prior.support, axis=1) @ alpha_signed
+    at_c = np.zeros(y.size, dtype=bool)
+    at_c[prior.support] = True
+    up = (y > 0) != at_c
+    hi, lo = f[up].max(), f[~up].min()
+    if not hi - lo <= TOL:
+        return None
+    alpha_signed.flags.writeable = False
+    return BinarySvm(
+        prior.support, alpha_signed, float((hi + lo) / 2.0), prior.kernel, c,
+        prior.solve._replace(atol=_atol(c), amax=c, amin=c),
     )
 
 
@@ -542,15 +588,18 @@ class SvmModel:
 def _class_pairs(codes: np.ndarray, classes: list[str]):
     """Each class pair (a, b), a < b, in order, with the indices of its
     rows in codes (class indices into classes) and their labels: +1 for
-    class a, -1 for class b.  Each class's rows are found once."""
-    members = [np.flatnonzero(codes == a) for a in range(len(classes))]
+    class a, -1 for class b.  Each class's rows are found once, as an
+    ascending list, and a pair's rows are the merge of two of them
+    (sorted() on a list, cheaper than NumPy calls for a few rows); the
+    labels are those rows of one +-1 array per class a."""
+    members = [np.flatnonzero(codes == a).tolist() for a in range(len(classes))]
     for a, rows_a in enumerate(members):
+        sign = np.where(codes == a, 1.0, -1.0)
         for b in range(a + 1, len(classes)):
-            if not rows_a.size or not members[b].size:
+            if not rows_a or not members[b]:
                 raise TrainingError(f"no examples for pair ({classes[a]}, {classes[b]})")
-            rows = np.concatenate((rows_a, members[b]))
-            order = rows.argsort()
-            yield (a, b), rows[order], np.where(order < rows_a.size, 1.0, -1.0)
+            rows = np.array(sorted(rows_a + members[b]), dtype=np.intp)
+            yield (a, b), rows, sign.take(rows)
 
 
 def train_one_vs_one(

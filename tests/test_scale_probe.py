@@ -34,8 +34,8 @@ def test_smallest_size_runs():
     assert np.isclose(10.0 ** np.linspace(-3.0, 2.0, 10), float(c), rtol=1e-5).any()
     # 171 pairs: 10 C values on 5 halves, then the final fit; each
     # (half, pair) solves its first C afresh, and SMO steps at least once.
-    # Some machines reuse the solve below them, which the probe sees only
-    # while model selection passes the prior by keyword.
+    # Some machines reuse the solve below them, which the probe counts
+    # as train_binary calls that ran no _smo.
     solves, reused, steps = map(int, solver)
     assert solves + reused == 171 * (10 * 5 + 1)
     assert reused > 0

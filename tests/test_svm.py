@@ -524,6 +524,49 @@ def assert_meets_stopping_rule(machine, alpha, gram, y):
     assert violation_gap(gram, y, alpha, c) <= 1e-3 + 1e-9
 
 
+def scaled_bracket(gram, y, alpha, c):
+    """(m - M, f, up, low) of the alpha that puts the bound-only alpha's
+    support at c and every other row at 0, the violation vector
+    f = y - K (alpha y) taken from the support's columns of the Gram."""
+    on = alpha > 0.0
+    f = y - gram.take(np.flatnonzero(on), axis=1) @ np.where(y[on] > 0, c, -c)
+    up = (y > 0) != on
+    low = ~up
+    return f[up].max() - f[low].min(), f, up, low
+
+
+def scales_to(prior, alpha, gram, y, c):
+    """Whether train_binary carries prior, whose whole alpha is alpha, to
+    c by scaling: c has room, the prior's alpha is not reused as it is,
+    every alpha is exactly 0 or prior.c, and the scaled gap is <= TOL."""
+    return (
+        prior is not None
+        and c - atol_of(c) > 0.0
+        and not prior.solve.holds_at(prior.c, c)
+        and bool(np.all((alpha == 0.0) | (alpha == prior.c)))
+        and scaled_bracket(gram, y, alpha, c)[0] <= 1e-3
+    )
+
+
+def assert_scaled(got, prior, alpha, gram, y):
+    """got is prior's bound-only alpha carried to got.c: the prior's
+    support, alpha_signed +-c (read-only, as many of each sign), the
+    bias of the bracket, and m - M recomputed from the Gram with c's
+    masks within tol = 1e-3 (plus rounding).  Returns got's whole alpha."""
+    c = got.c
+    assert got.support is prior.support
+    assert got.alpha_signed is not prior.alpha_signed
+    assert not got.alpha_signed.flags.writeable
+    assert got.alpha_signed.tobytes() == np.where(y[got.support] > 0, c, -c).tobytes()
+    assert np.count_nonzero(got.alpha_signed > 0) == np.count_nonzero(got.alpha_signed < 0)
+    _, f, up, low = scaled_bracket(gram, y, alpha, c)
+    assert got.bias == svm_module._bias(f.tolist(), up.tolist(), low.tolist())
+    scaled = np.zeros(y.size)
+    scaled[got.support] = c
+    assert violation_gap(gram, y, scaled, c) <= 1e-3 + 1e-9
+    return scaled
+
+
 # costs around 1, around the bounds' atol floor and around 0 < C - atol
 EDGE_COSTS = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e-13, 5e-13, 1e-12, 2e-12, 1e-3, 0.1, 10.0, 1e3]
 
@@ -535,14 +578,15 @@ class TestSolveReuse:
     )
     def test_reused_machine_equals_fresh_solve(self, sizes, trials):
         """Walking ascending, shuffled and duplicated grids with each
-        machine as the next one's prior, a prior is reused exactly when
-        holds_at holds on its returned alpha; every other machine has the
-        bits of a fresh solve (or the same TrainingError), and a reused
-        one meets the stopping rule at its own C, recomputed from the
-        Gram.  The grids hold costs at the hard-margin largest alpha
-        x (1 +- 1e-9, 1 +- 1e-15)."""
+        machine as the next one's prior, a prior is reused as it is
+        exactly when holds_at holds on its returned alpha, and scaled
+        exactly when it is bound-only and the scaled gap is within tol;
+        every other machine has the bits of a fresh solve (or the same
+        TrainingError), and a reused or scaled one meets the stopping
+        rule at its own C, recomputed from the Gram.  The grids hold
+        costs at the hard-margin largest alpha x (1 +- 1e-9, 1 +- 1e-15)."""
         rng = np.random.default_rng(11)
-        reused = 0
+        reused = scaled = 0
         for trial in range(trials):
             x, y = separable(rng, int(rng.integers(*sizes)))
             spec = (
@@ -553,7 +597,7 @@ class TestSolveReuse:
             amax = train_binary(gram, y, 1e6, spec).solve.amax
             grid = EDGE_COSTS + [amax * f for f in (1 - 1e-9, 1 + 1e-9, 1 - 1e-15, 1 + 1e-15, 1.0)]
             for walk in (sorted(grid), list(rng.permutation(grid)), sorted(grid + grid[::3])):
-                prior = None
+                prior = alpha = None
                 for c in walk:
                     got = solve_or_none(gram, y, c, spec, prior=prior)
                     if prior is not None and prior.solve.holds_at(prior.c, c):
@@ -562,6 +606,9 @@ class TestSolveReuse:
                         assert (got.bias, got.c) == (prior.bias, c)
                         assert_meets_stopping_rule(got, alpha, gram, y)
                         reused += 1
+                    elif scales_to(prior, alpha, gram, y, c):
+                        alpha = assert_scaled(got, prior, alpha, gram, y)
+                        scaled += 1
                     else:
                         if prior is not None and got is not None:
                             assert got.alpha_signed is not prior.alpha_signed
@@ -572,6 +619,7 @@ class TestSolveReuse:
                     if got is not None:
                         prior = got
         assert reused >= 2 * trials, reused
+        assert scaled >= 4 * trials, scaled
 
     def test_atol_band_blocks_reuse(self):
         """Multipliers near 1e-10 sit on either side of atol = 1e-12
@@ -698,6 +746,119 @@ class TestSolveReuse:
         assert_same_solve(got, train_binary(gram, y, 2e3, spec))
         with pytest.raises(ConfigError, match="gram has shape"):
             train_binary(None, y, 2e3, spec, prior=prior)
+
+
+def gaussian_problem(rng, n, sigma, balanced):
+    """n rows in 3 dimensions, Gram of the gaussian kernel of width
+    sigma, and labels, half of each class when balanced and about a
+    quarter positive otherwise.  At sigma = 0.01 every off-diagonal
+    entry underflows to 0, so K is I up to the rounding of its diagonal."""
+    x = rng.standard_normal((n, 3))
+    y = np.where(rng.permutation(n) < (n // 2 if balanced else n // 4), 1.0, -1.0)
+    spec = KernelSpec("gaussian", sigma)
+    return kernel_matrix(x, x, spec), y, spec
+
+
+class TestScaledReuse:
+    @pytest.mark.parametrize("small_n", [10**6, 0], ids=["lists", "arrays"])
+    def test_scaled_exactly_when_bound_only_within_tol(self, monkeypatch, small_n):
+        """Walking the default C grid ascending, shuffled and descending
+        with each machine as the next one's prior: _smo does not run for
+        a machine exactly when its prior is reused as it is (holds_at) or
+        scaled, and a prior is scaled exactly when every alpha it holds
+        is 0 or its C and the scaled gap is within tol.  A scaled machine
+        keeps the prior's support, with alpha_signed +-c, and meets the
+        stopping rule recomputed from the Gram; any other has a fresh
+        solve's bits.  Balanced and unbalanced labels, with sigma down to
+        K = I, give bound-only priors both within and beyond tol and
+        priors with a free alpha."""
+        monkeypatch.setattr(svm_module, "SMALL_N", small_n)
+        smo = count_calls(monkeypatch, "_smo")
+        rng = np.random.default_rng(21)
+        grid = list(svm_module.default_c_grid()) + [0.5, 0.9995, 1.0, 1.0005]
+        seen = {"scaled": 0, "bound_only_too_far": 0, "free_unscaled": 0}
+        for trial in range(12):
+            sigma = (0.01, 0.3, 1.0, 3.0)[trial % 4]
+            gram, y, spec = gaussian_problem(rng, int(rng.integers(6, 50)), sigma, trial % 3 > 0)
+            for walk in (sorted(grid), list(rng.permutation(grid)), sorted(grid)[::-1]):
+                prior = alpha = None
+                for c in walk:
+                    smo.clear()
+                    got = train_binary(gram, y, c, spec, prior=prior)
+                    if prior is not None and prior.solve.holds_at(prior.c, c):
+                        assert got.alpha_signed is prior.alpha_signed and not smo
+                    elif scales_to(prior, alpha, gram, y, c):
+                        alpha = assert_scaled(got, prior, alpha, gram, y)
+                        assert not smo
+                        seen["scaled"] += 1
+                    else:
+                        assert len(smo) == 1
+                        assert_same_solve(got, train_binary(gram, y, c, spec))
+                        if prior is not None:
+                            bound = bool(np.all((alpha == 0.0) | (alpha == prior.c)))
+                            seen["bound_only_too_far"] += bound
+                            seen["free_unscaled"] += not bound
+                        alpha = svm_module._smo(gram, y, c, 1e-3, 10**6)[0]
+                    prior = got
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_identity_gram_scaled_along_the_grid(self):
+        """K = I with balanced labels: every alpha is min(C, 1), so each
+        C below 1 has the bound-only solution C on every row, with
+        m - M = -2 (1 - C); ascending from 1e-3 the first machine is
+        solved and every later one below 1 is scaled from it."""
+        rng = np.random.default_rng(22)
+        gram, y, spec = gaussian_problem(rng, 20, 0.01, True)
+        np.testing.assert_allclose(gram, np.eye(20), rtol=0.0, atol=1e-9)
+        prior = None
+        for c in (1e-3, 0.01, 0.1, 0.5, 0.999):
+            got = train_binary(gram, y, c, spec, prior=prior)
+            assert got.support.tolist() == list(range(20))
+            assert got.alpha_signed.tobytes() == (c * y).tobytes()
+            if prior is not None:
+                assert got.support is prior.support
+            prior = got
+        got = train_binary(gram, y, 2.0, spec, prior=prior)
+        assert got.support is not prior.support
+        assert_same_solve(got, train_binary(gram, y, 2.0, spec))
+
+    def test_scaled_only_on_its_own_problem(self):
+        """A bound-only prior is scaled on its own Gram object, labels and
+        kernel at a C with room, and never with a dead Gram, other
+        labels, another kernel, or at a C with C - atol <= 0, where a
+        fresh solve runs instead."""
+        rng = np.random.default_rng(23)
+        gram, y, spec = gaussian_problem(rng, 16, 0.01, True)
+        prior = train_binary(gram, y, 0.1, spec)
+        assert prior.solve.bound
+        assert train_binary(gram, y, 0.2, spec, prior=prior).support is prior.support
+
+        dead = train_binary(gram.copy(), y, 0.1, spec)
+        assert dead.solve.bound and dead.solve.gram() is None
+        others = [
+            (dead, gram, y, spec, 0.2),
+            (prior, gram, -y, spec, 0.2),
+            (prior, gram, y, KernelSpec("gaussian", 0.02), 0.2),
+            (prior, gram, y, spec, 1e-12),     # C - atol = 0
+            (prior, gram, y, spec, 5e-13),     # C - atol < 0
+        ]
+        for old, k, labels, kernel, c in others:
+            got = train_binary(k, labels, c, kernel, prior=old)
+            assert got.support is not old.support
+            assert_same_solve(got, train_binary(k, labels, c, kernel))
+
+    def test_prior_with_free_alpha_not_scaled(self):
+        """Unbalanced labels at K = I: the minority rows sit at C and the
+        majority rows share the balance below it, so the prior holds
+        free alphas and is solved afresh at every other C."""
+        rng = np.random.default_rng(24)
+        gram, y, spec = gaussian_problem(rng, 16, 0.01, False)
+        prior = train_binary(gram, y, 0.1, spec)
+        assert not prior.solve.bound
+        for c in (0.05, 0.2, 0.5):
+            got = train_binary(gram, y, c, spec, prior=prior)
+            assert got.support is not prior.support
+            assert_same_solve(got, train_binary(gram, y, c, spec))
 
 
 def unit_machine(row):
@@ -1109,6 +1270,36 @@ class TestModelSelect:
         assert count["pair"] == 2 * 6 and count["base"] == 2 * 2 and len(specs) == n_sigma
         assert count["gram"] == 2 * n_sigma * 10 * 6   # halves, |sigma|, |C|, pairs
         assert 0 < count["cross"] <= count["gram"]
+
+    @pytest.mark.parametrize(
+        "kernel_kind, sigma_grid, blobs",
+        [
+            pytest.param("gaussian", (0.05, 1.0, 4.0), four_blobs, id="gaussian-four"),
+            pytest.param("gaussian", (0.05, 0.5, 2.0), three_blobs, id="gaussian-three"),
+            pytest.param("gaussian", (5.0, 20.0, 50.0), wide_blobs, id="gaussian-wide"),
+            pytest.param("linear", None, four_blobs, id="linear-four"),
+            pytest.param("linear", None, wide_blobs, id="linear-wide"),
+        ],
+    )
+    def test_reuse_keeps_selection_with_fewer_solves(
+        self, monkeypatch, kernel_kind, sigma_grid, blobs
+    ):
+        """Model selection with its priors picks the (C, sigma, score) of a
+        run that passes none, and runs _smo fewer times where a gaussian
+        grid has bound-only solves to scale (never more times)."""
+        x, labels = blobs()
+        smo = count_calls(monkeypatch, "_smo")
+        got = model_select(x, labels, kernel_kind, sigma_grid=sigma_grid, seed=6)
+        with_prior, _ = len(smo), smo.clear()
+        real = svm_module.train_binary
+        monkeypatch.setattr(
+            svm_module, "train_binary", lambda *args, prior=None, **kw: real(*args, **kw)
+        )
+        assert got == model_select(x, labels, kernel_kind, sigma_grid=sigma_grid, seed=6)
+        if kernel_kind == "gaussian":
+            assert with_prior < len(smo), (with_prior, len(smo))
+        else:
+            assert with_prior <= len(smo)
 
     def test_unusable_sigma_refused_before_training(self, monkeypatch):
         calls = count_calls(monkeypatch, "train_binary")
